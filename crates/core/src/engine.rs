@@ -254,18 +254,6 @@ impl FluxEngine {
         self.run_input(Input::from_reader(input), output)
     }
 
-    /// [`run`](Self::run) plus the run's telemetry [`RunReport`] — every
-    /// pipeline stage's counters, spans and (under sharded parsing) the
-    /// per-shard timeline. Without the `telemetry` cargo feature the
-    /// report is still structurally valid but carries no measurements.
-    pub fn run_with_report<R: Read + Send + 'static, W: Write>(
-        &self,
-        input: R,
-        output: W,
-    ) -> Result<(RunStats, RunReport)> {
-        self.run_input_with_report(Input::from_reader(input), output)
-    }
-
     /// Runs the query over a unified [`Input`], streaming results to
     /// `output`.
     ///

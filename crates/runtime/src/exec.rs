@@ -1,11 +1,11 @@
 //! The streamed query evaluator (paper Sec. 3.2).
 //!
 //! Drives XSAX events through the physical plan: per open element it keeps
-//! an `ElementCtx` recording which process-streams dispatch that
-//! element's children, which buffers the element populates (per the BDF's
-//! projection views), whether its events are being stream-copied to the
-//! output, and which output end tags it owes. `on-first` events from XSAX
-//! trigger buffered evaluation of handler bodies over the buffer store.
+//! a `Frame` recording which process-streams dispatch that element's
+//! children, which buffers the element populates (per the BDF's projection
+//! views), whether its events are being stream-copied to the output, and
+//! which output end tags it owes. `on-first` events from XSAX trigger
+//! buffered evaluation of handler bodies over the buffer store.
 //!
 //! The event loop runs on the **zero-copy view path**: each step exposes
 //! the validated event as a borrowed [`RawEventRef`] whose payloads live
@@ -13,8 +13,15 @@
 //! dispatch and buffer descent are symbol comparisons against the stream's
 //! shared [`SymbolTable`], and the output writer maps symbols back through
 //! the same table, streaming payload bytes straight from the view into the
-//! sink. An event that only streams (no buffering) costs zero heap
-//! allocations and zero payload copies on the way through.
+//! sink, with zero payload copies for an event that only streams.
+//!
+//! Frames are `Copy` records of start offsets into four stacks the
+//! executor owns (buffer targets, scopes, bindings, shells): opening an
+//! element pushes onto them, closing truncates back, and a parent's runs
+//! are read in place by index. Once those stacks, the buffer arena's
+//! pools and the evaluator's pools have grown to the document's largest
+//! element, the composed loop makes no heap allocation per event
+//! (`tests/zero_alloc_exec.rs`).
 
 use crate::buffer::BufferArena;
 use crate::error::{Result, RuntimeError};
@@ -32,21 +39,26 @@ use std::time::Instant;
 
 use crate::bdf::SpecView;
 
-/// Per-open-element execution state.
-#[derive(Default)]
-struct ElementCtx {
+/// Per-open-element execution state. The four offsets mark where this
+/// element's run starts in the matching [`ExecState`] stack; the run ends
+/// where the next frame's starts (or at the stack's end for the top frame).
+#[derive(Clone, Copy)]
+struct Frame {
     /// Events inside this element are copied to the output.
     copying: bool,
-    /// Buffer insertion points this element's content populates.
-    buf_targets: Vec<(NodeId, SpecView)>,
-    /// Process-streams dispatching this element's children.
-    scopes: Vec<PsId>,
     /// Output end tags owed when this element closes.
     closers: usize,
-    /// Variable bindings to restore at close (slot, shadowed value).
-    bindings: Vec<(usize, Option<NodeId>)>,
-    /// Scope shells to free at close.
-    shells: Vec<NodeId>,
+    /// Start of the buffer insertion points this element's content
+    /// populates, in `ExecState::targets`.
+    targets: usize,
+    /// Start of the process-streams dispatching this element's children,
+    /// in `ExecState::scopes`.
+    scopes: usize,
+    /// Start of the variable bindings to restore at close, in
+    /// `ExecState::bindings`.
+    bindings: usize,
+    /// Start of the scope shells to free at close, in `ExecState::shells`.
+    shells: usize,
 }
 
 /// Executes a compiled FluX query over an XML input stream.
@@ -79,17 +91,6 @@ impl<'d> Executor<'d> {
         config: XsaxConfig,
     ) -> Result<RunStats> {
         execute_plan(&self.plan, self.dtd, input, output, config)
-    }
-
-    /// Runs the query and additionally assembles the run's telemetry
-    /// [`RunReport`] (structurally valid — but empty-staged — without the
-    /// `telemetry` feature).
-    pub fn run_with_report<R: Read, W: Write>(
-        &self,
-        input: R,
-        output: W,
-    ) -> Result<(RunStats, RunReport)> {
-        execute_plan_with_report(&self.plan, self.dtd, input, output, XsaxConfig::default())
     }
 }
 
@@ -175,21 +176,7 @@ fn run_events_inner<S: EventSource, W: Write>(
     for reg in &plan.past_regs {
         parser.register_past(reg.element, reg.labels.clone())?;
     }
-    // The BDF's edges were interned at plan-compile time against the
-    // DTD's table — the same index space the stream's seeded interner
-    // uses — so per-event descent is pure symbol equality with no per-run
-    // index build. The arena document seeds its name table from the
-    // stream's, so buffered names import as integer copies.
-    let mut state = ExecState {
-        plan,
-        arena: BufferArena::with_symbols(parser.symbols().clone()),
-        slots: plan.slots.make_slots(),
-        evaluator: CursorEvaluator::new(),
-        writer: XmlWriter::new(output),
-        stack: Vec::new(),
-        events: 0,
-        tel: RuntimeCounters::default(),
-    };
+    let mut state = ExecState::new(plan, parser.symbols(), output);
     while let Some(step) = parser.next_step()? {
         state.events += 1;
         match step {
@@ -253,7 +240,16 @@ struct ExecState<'p, W: Write> {
     /// zero allocations per firing.
     evaluator: CursorEvaluator,
     writer: XmlWriter<W>,
-    stack: Vec<ElementCtx>,
+    /// One frame per open element, the document at index 0.
+    frames: Vec<Frame>,
+    /// Buffer insertion points, one run per frame.
+    targets: Vec<(NodeId, SpecView)>,
+    /// Installed process-streams, one run per frame.
+    scopes: Vec<PsId>,
+    /// Shadowed variable bindings (slot, saved value), one run per frame.
+    bindings: Vec<(usize, Option<NodeId>)>,
+    /// Scope shells, one run per frame.
+    shells: Vec<NodeId>,
     events: u64,
     /// Handler-dispatch / on-first counters (zero-sized no-ops unless the
     /// `telemetry` feature is on).
@@ -261,6 +257,28 @@ struct ExecState<'p, W: Write> {
 }
 
 impl<'p, W: Write> ExecState<'p, W> {
+    fn new(plan: &'p Plan, symbols: &SymbolTable, output: W) -> Self {
+        // The BDF's edges were interned at plan-compile time against the
+        // DTD's table — the same index space the stream's seeded interner
+        // uses — so per-event descent is pure symbol equality with no
+        // per-run index build. The arena document seeds its name table
+        // from the stream's, so buffered names import as integer copies.
+        ExecState {
+            plan,
+            arena: BufferArena::with_symbols(symbols.clone()),
+            slots: plan.slots.make_slots(),
+            evaluator: CursorEvaluator::new(),
+            writer: XmlWriter::new(output),
+            frames: Vec::new(),
+            targets: Vec::new(),
+            scopes: Vec::new(),
+            bindings: Vec::new(),
+            shells: Vec::new(),
+            events: 0,
+            tel: RuntimeCounters::default(),
+        }
+    }
+
     fn handle(&mut self, ev: &RawEventRef<'_>, symbols: &SymbolTable) -> Result<()> {
         self.tel.handler_dispatches(1);
         match ev.kind() {
@@ -278,60 +296,67 @@ impl<'p, W: Write> ExecState<'p, W> {
         }
     }
 
+    /// A frame whose runs start at the current stack tops.
+    fn open_frame(&self, copying: bool) -> Frame {
+        Frame {
+            copying,
+            closers: 0,
+            targets: self.targets.len(),
+            scopes: self.scopes.len(),
+            bindings: self.bindings.len(),
+            shells: self.shells.len(),
+        }
+    }
+
     fn start_document(&mut self, symbols: &SymbolTable) -> Result<()> {
+        let mut frame = self.open_frame(false);
         // The arena's own document node doubles as the $ROOT scope shell:
         // it is never freed (the run ends with it) and copying `$ROOT`
         // emits its children, as document-node semantics require.
         let shell = self.arena.doc().document_node();
-        let mut ctx = ElementCtx {
-            buf_targets: vec![(shell, SpecView::Project(self.plan.root_spec))],
-            ..ElementCtx::default()
-        };
+        self.targets
+            .push((shell, SpecView::Project(self.plan.root_spec)));
         let root_slot = self.plan.root_slot;
         let saved = self.slots[root_slot].replace(shell);
-        ctx.bindings.push((root_slot, saved));
+        self.bindings.push((root_slot, saved));
         // Evaluate the top prelude (constants, wrappers) and install the
         // top-level process-stream. `self.plan` is a shared reference with
         // lifetime 'p, so plan data can be borrowed independently of self.
         let plan: &'p Plan = self.plan;
-        self.enter_plan(&plan.top, &mut ctx, None, symbols)?;
+        self.enter_plan(&plan.top, &mut frame, None, symbols)?;
+        self.frames.push(frame);
         // Document-level on-first handlers that fire before the root.
-        self.fire_doc_handlers(&ctx, DocTiming::AtStart)?;
-        self.stack.push(ctx);
-        Ok(())
+        self.fire_doc_handlers(DocTiming::AtStart)
     }
 
     fn start_element(&mut self, ev: &RawEventRef<'_>, symbols: &SymbolTable) -> Result<()> {
         let sym = ev.name();
-        let parent = self
-            .stack
+        let parent = *self
+            .frames
             .last()
             .expect("XSAX guarantees events inside the document");
-        let mut ctx = ElementCtx {
-            copying: parent.copying,
-            ..ElementCtx::default()
-        };
+        let mut frame = self.open_frame(parent.copying);
         if parent.copying {
             self.writer.start_element_view(symbols, ev)?;
         }
         // Buffer population: descend every active view on symbol equality
         // (an OVERFLOW name from a bounded-interner stream falls back to
         // comparing the literal spelling, so `max_symbols` can never
-        // change what is buffered).
+        // change what is buffered). The parent's run ends where the new
+        // frame's begins, so pushes below never disturb it.
         let literal = ev.name_str(symbols);
-        let parent_targets: Vec<(NodeId, SpecView)> = parent.buf_targets.clone();
-        for (node, view) in parent_targets {
+        for i in parent.targets..frame.targets {
+            let (node, view) = self.targets[i];
             if let Some(child_view) = view.descend_event(&self.plan.specs, sym, literal) {
                 let child_node = self.arena.append_element_view(node, symbols, ev);
-                ctx.buf_targets.push((child_node, child_view));
+                self.targets.push((child_node, child_view));
             }
         }
         // Handler dispatch: every matching `on` handler of every scope
         // hosted by the parent, in plan order.
         let plan: &'p Plan = self.plan;
-        let parent_scopes: Vec<PsId> = self.stack.last().expect("parent exists").scopes.clone();
-        for ps_id in parent_scopes {
-            for handler in &plan.ps[ps_id].handlers {
+        for i in parent.scopes..frame.scopes {
+            for handler in &plan.ps[self.scopes[i]].handlers {
                 let HandlerPlan::On {
                     label,
                     symbol,
@@ -364,25 +389,24 @@ impl<'p, W: Write> ExecState<'p, W> {
                         .create_element_view_projected(symbols, ev, &spec_node.attrs)
                 };
                 let saved = self.slots[*var_slot].replace(shell);
-                ctx.bindings.push((*var_slot, saved));
-                ctx.shells.push(shell);
-                if !self.plan.specs.is_empty_spec(*spec) {
-                    ctx.buf_targets.push((shell, SpecView::Project(*spec)));
+                self.bindings.push((*var_slot, saved));
+                self.shells.push(shell);
+                if !plan.specs.is_empty_spec(*spec) {
+                    self.targets.push((shell, SpecView::Project(*spec)));
                 }
-                self.enter_plan(body, &mut ctx, Some(ev), symbols)?;
+                self.enter_plan(body, &mut frame, Some(ev), symbols)?;
             }
         }
-        self.stack.push(ctx);
+        self.frames.push(frame);
         Ok(())
     }
 
     fn text(&mut self, t: &str) -> Result<()> {
-        let ctx = self.stack.last().expect("text inside the document");
-        if ctx.copying {
+        let frame = *self.frames.last().expect("text inside the document");
+        if frame.copying {
             self.writer.text(t)?;
         }
-        let targets: Vec<(NodeId, SpecView)> = ctx.buf_targets.clone();
-        for (node, view) in targets {
+        for &(node, view) in &self.targets[frame.targets..] {
             if view.keeps_text(&self.plan.specs) {
                 self.arena.append_text(node, t);
             }
@@ -391,43 +415,56 @@ impl<'p, W: Write> ExecState<'p, W> {
     }
 
     fn end_element(&mut self) -> Result<()> {
-        let ctx = self.stack.pop().expect("balanced events");
-        if ctx.copying {
+        let frame = self.frames.pop().expect("balanced events");
+        if frame.copying {
             self.writer.end_element()?;
         }
-        for _ in 0..ctx.closers {
-            self.writer.end_element()?;
-        }
-        self.close_ctx(ctx);
-        Ok(())
+        self.close_frame(frame)
     }
 
     fn end_document(&mut self, _symbols: &SymbolTable) -> Result<()> {
-        let ctx = self.stack.pop().expect("document context");
-        self.fire_doc_handlers(&ctx, DocTiming::AtEnd)?;
-        for _ in 0..ctx.closers {
+        self.fire_doc_handlers(DocTiming::AtEnd)?;
+        let frame = self.frames.pop().expect("document frame");
+        self.close_frame(frame)
+    }
+
+    /// Emits the frame's owed end tags, restores its bindings in reverse
+    /// order, frees its shells in order and truncates every stack back to
+    /// the frame's offsets.
+    fn close_frame(&mut self, frame: Frame) -> Result<()> {
+        for _ in 0..frame.closers {
             self.writer.end_element()?;
         }
-        self.close_ctx(ctx);
+        for (slot, saved) in self.bindings.drain(frame.bindings..).rev() {
+            self.slots[slot] = saved;
+        }
+        for shell in self.shells.drain(frame.shells..) {
+            self.arena.free_scope(shell);
+        }
+        self.targets.truncate(frame.targets);
+        self.scopes.truncate(frame.scopes);
         Ok(())
     }
 
-    fn close_ctx(&mut self, mut ctx: ElementCtx) {
-        for (slot, saved) in ctx.bindings.drain(..).rev() {
-            self.slots[slot] = saved;
-        }
-        for shell in ctx.shells.drain(..) {
-            self.arena.free_scope(shell);
-        }
+    /// The process-streams installed by the frame at `depth`: its run
+    /// extends to the next frame's start, or to the stack's end for the
+    /// top frame.
+    fn scopes_at(&self, depth: usize) -> &[PsId] {
+        let start = self.frames[depth].scopes;
+        let end = self
+            .frames
+            .get(depth + 1)
+            .map_or(self.scopes.len(), |next| next.scopes);
+        &self.scopes[start..end]
     }
 
     fn on_first(&mut self, reg_index: usize, depth: usize) -> Result<()> {
         let plan: &'p Plan = self.plan;
         let reg = &plan.past_regs[reg_index];
-        let Some(ctx) = self.stack.get(depth) else {
+        if depth >= self.frames.len() {
             return Ok(()); // scope not active here
-        };
-        if !ctx.scopes.contains(&reg.ps) {
+        }
+        if !self.scopes_at(depth).contains(&reg.ps) {
             return Ok(()); // a different plan position over the same element type
         }
         let HandlerPlan::OnFirstPast { body, .. } = &plan.ps[reg.ps].handlers[reg.handler_index]
@@ -440,12 +477,13 @@ impl<'p, W: Write> ExecState<'p, W> {
         self.eval_buffered(body)
     }
 
-    /// Fires document-level on-first handlers with the given timing, in
-    /// handler order.
-    fn fire_doc_handlers(&mut self, ctx: &ElementCtx, timing: DocTiming) -> Result<()> {
+    /// Fires the top frame's document-level on-first handlers with the
+    /// given timing, in handler order.
+    fn fire_doc_handlers(&mut self, timing: DocTiming) -> Result<()> {
         let plan: &'p Plan = self.plan;
-        for &ps_id in &ctx.scopes {
-            for handler in &plan.ps[ps_id].handlers {
+        let frame = *self.frames.last().expect("document frame");
+        for i in frame.scopes..self.scopes.len() {
+            for handler in &plan.ps[self.scopes[i]].handlers {
                 if let HandlerPlan::OnFirstPast {
                     doc_timing, body, ..
                 } = handler
@@ -476,11 +514,12 @@ impl<'p, W: Write> ExecState<'p, W> {
 
     /// Enters a plan expression at the current stream position: emits
     /// constants and wrappers, evaluates instant buffered expressions,
-    /// installs nested process-streams and stream-copies into `ctx`.
+    /// installs nested process-streams and stream-copies for the element
+    /// whose (not yet pushed) frame is `frame`.
     fn enter_plan(
         &mut self,
         plan: &PlanExpr,
-        ctx: &mut ElementCtx,
+        frame: &mut Frame,
         current_child: Option<&RawEventRef<'_>>,
         symbols: &SymbolTable,
     ) -> Result<()> {
@@ -493,7 +532,7 @@ impl<'p, W: Write> ExecState<'p, W> {
             PlanExpr::BufferedEval(e) => self.eval_buffered(e),
             PlanExpr::Sequence(items) => {
                 for item in items {
-                    self.enter_plan(item, ctx, current_child, symbols)?;
+                    self.enter_plan(item, frame, current_child, symbols)?;
                 }
                 Ok(())
             }
@@ -519,9 +558,9 @@ impl<'p, W: Write> ExecState<'p, W> {
                         writer,
                     )?;
                 }
-                self.enter_plan(content, ctx, current_child, symbols)?;
+                self.enter_plan(content, frame, current_child, symbols)?;
                 if *deferred_close {
-                    ctx.closers += 1;
+                    frame.closers += 1;
                 } else {
                     self.writer.end_element()?;
                 }
@@ -532,11 +571,11 @@ impl<'p, W: Write> ExecState<'p, W> {
                     message: "stream-copy outside an on-handler".to_string(),
                 })?;
                 self.writer.start_element_view(symbols, child)?;
-                ctx.copying = true;
+                frame.copying = true;
                 Ok(())
             }
             PlanExpr::Ps(id) => {
-                ctx.scopes.push(*id);
+                self.scopes.push(*id);
                 Ok(())
             }
         }
@@ -546,7 +585,8 @@ impl<'p, W: Write> ExecState<'p, W> {
 mod tests {
     use super::*;
     use flux_dtd::{PAPER_FIG1_DTD, PAPER_WEAK_DTD};
-    use flux_lang::{compile, CompileOptions};
+    use flux_lang::{compile, CompileOptions, OptimizerConfig};
+    use flux_xml::RawEvent;
 
     const Q3: &str = r#"<results>{ for $b in $ROOT/bib/book return <result>{$b/title}{$b/author}</result> }</results>"#;
 
@@ -775,6 +815,163 @@ mod tests {
         assert!(
             stats.peak_buffer_bytes > doc.len(),
             "whole document buffered"
+        );
+    }
+
+    /// Every frame stack is empty and every slot unbound again.
+    fn assert_unwound<W: Write>(state: &ExecState<'_, W>) {
+        assert!(state.frames.is_empty());
+        assert!(state.targets.is_empty());
+        assert!(state.scopes.is_empty());
+        assert!(state.bindings.is_empty());
+        assert!(state.shells.is_empty());
+        assert!(state.slots.iter().all(Option::is_none));
+    }
+
+    #[test]
+    fn on_first_for_an_outer_frame_reads_only_that_frames_scopes() {
+        // XSAX delivers a fire while its element is the innermost open
+        // one, so this drives the executor by hand to reach the case the
+        // offset arithmetic must still get right: a fire for an outer
+        // frame while inner frames are open. Under Q3 the on-first
+        // registration's process-stream is installed by the book frame
+        // (depth 2). Its scope run ends where the author frame's begins,
+        // and the bib frame's run ends where the book frame's begins.
+        let dtd = Dtd::parse(PAPER_WEAK_DTD).unwrap();
+        let query = compile(Q3, &dtd, &CompileOptions::default()).unwrap();
+        let plan = compile_plan(&query, &dtd).unwrap();
+        let symbols = flux_xsax::seeded_symbols(&dtd);
+        let book = dtd.lookup("book").unwrap();
+        let reg = plan
+            .past_regs
+            .iter()
+            .position(|r| r.element == book)
+            .expect("Q3 registers an on-first on book");
+        let mut state = ExecState::new(&plan, &symbols, Vec::new());
+        let mut ev = RawEvent::new();
+        state.start_document(&symbols).unwrap();
+        for name in ["bib", "book", "author"] {
+            ev.reset(RawEventKind::StartElement);
+            ev.set_name(dtd.lookup(name).unwrap());
+            state
+                .start_element(&RawEventRef::from_event(&ev), &symbols)
+                .unwrap();
+        }
+        state.text("A1").unwrap();
+        assert_eq!(state.frames.len(), 4);
+
+        let before = state.writer.bytes_written();
+        state.on_first(reg, 1).unwrap();
+        state.on_first(reg, 3).unwrap();
+        state.on_first(reg, 4).unwrap();
+        assert_eq!(
+            state.writer.bytes_written(),
+            before,
+            "fired for a frame that does not host the registration's scope"
+        );
+        state.on_first(reg, 2).unwrap();
+        assert!(
+            state.writer.bytes_written() > before,
+            "book frame fire lost"
+        );
+
+        for _ in 0..3 {
+            state.end_element().unwrap();
+        }
+        state.end_document(&symbols).unwrap();
+        assert_unwound(&state);
+        state.writer.finish().unwrap();
+        assert_eq!(
+            String::from_utf8(state.writer.into_inner()).unwrap(),
+            "<results><result><author>A1</author></result></results>"
+        );
+    }
+
+    #[test]
+    fn shadowing_on_handlers_restore_in_reverse() {
+        // Unoptimised, this schedules two `on title as $t` handlers in one
+        // process-stream: each title frame binds `$t`'s slot twice, over
+        // the book-level `$t`. The past(title) handler then reads the
+        // book-level `$t` right after the title frame closes, so restoring
+        // the bindings in any order but reverse would hand it a freed
+        // title shell.
+        let q = r#"<r>{ for $t in $ROOT/bib/book return <x>{for $t in $t/title return <a/>}{for $t in $t/title return $t}{$t/title}</x> }</r>"#;
+        let dtd = Dtd::parse(PAPER_FIG1_DTD).unwrap();
+        let options = CompileOptions {
+            optimizer: OptimizerConfig::disabled(),
+            ..CompileOptions::default()
+        };
+        let query = compile(q, &dtd, &options).unwrap();
+        let plan = compile_plan(&query, &dtd).unwrap();
+        let title = dtd.lookup("title").unwrap();
+        let shadowing: Vec<usize> = plan
+            .ps
+            .iter()
+            .flat_map(|ps| &ps.handlers)
+            .filter_map(|h| match h {
+                HandlerPlan::On {
+                    symbol, var_slot, ..
+                } if *symbol == Some(title) => Some(*var_slot),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(shadowing.len(), 2, "two `on title` handlers expected");
+        assert_eq!(shadowing[0], shadowing[1], "both must bind one slot");
+
+        let doc = "<bib><book><title>T1</title><author>A</author><publisher>P</publisher><price>1</price></book>\
+                   <book><title>T2</title><editor>E</editor><publisher>P</publisher><price>2</price></book></bib>";
+        let mut out = Vec::new();
+        execute_plan(&plan, &dtd, doc.as_bytes(), &mut out, XsaxConfig::default()).unwrap();
+        assert_eq!(
+            String::from_utf8(out).unwrap(),
+            "<r><x><a></a><title>T1</title><title>T1</title></x>\
+             <x><a></a><title>T2</title><title>T2</title></x></r>"
+        );
+    }
+
+    #[test]
+    fn stream_copy_and_buffering_share_a_frame() {
+        // The first `$b/title` stream-copies each title while the trailing
+        // one needs it buffered: every title frame is copying to the
+        // output and populating the book's buffer at once.
+        let q =
+            r#"<r>{ for $b in $ROOT/bib/book return <x>{$b/title}{$b/author}{$b/title}</x> }</r>"#;
+        let dtd = Dtd::parse(PAPER_FIG1_DTD).unwrap();
+        let query = compile(q, &dtd, &CompileOptions::default()).unwrap();
+        let plan = compile_plan(&query, &dtd).unwrap();
+        let symbols = flux_xsax::seeded_symbols(&dtd);
+        let mut state = ExecState::new(&plan, &symbols, Vec::new());
+        let mut ev = RawEvent::new();
+        state.start_document(&symbols).unwrap();
+        for name in ["bib", "book", "title"] {
+            ev.reset(RawEventKind::StartElement);
+            ev.set_name(dtd.lookup(name).unwrap());
+            state
+                .start_element(&RawEventRef::from_event(&ev), &symbols)
+                .unwrap();
+        }
+        let frame = *state.frames.last().unwrap();
+        assert!(frame.copying, "title is stream-copied");
+        assert_eq!(
+            state.targets.len() - frame.targets,
+            1,
+            "title is buffered into the book shell"
+        );
+        state.end_element().unwrap();
+        assert_eq!(state.targets.len(), frame.targets, "title run truncated");
+        for _ in 0..2 {
+            state.end_element().unwrap();
+        }
+        state.end_document(&symbols).unwrap();
+        assert_unwound(&state);
+
+        let doc = "<bib><book><title>T1</title><author>A1</author><author>A2</author><publisher>P</publisher><price>1</price></book>\
+                   <book><title>T2</title><editor>E</editor><publisher>P</publisher><price>2</price></book></bib>";
+        let (out, _) = run(q, PAPER_FIG1_DTD, doc);
+        assert_eq!(
+            out,
+            "<r><x><title>T1</title><author>A1</author><author>A2</author><title>T1</title></x>\
+             <x><title>T2</title><title>T2</title></x></r>"
         );
     }
 }

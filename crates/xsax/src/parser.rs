@@ -136,6 +136,9 @@ pub struct XsaxParser<'d, S: EventSource> {
     /// Dense per-symbol attribute plans, same indexing as `decls`.
     atts: Vec<Vec<AttPlan<'d>>>,
     stack: Vec<OpenElement<'d>>,
+    /// Emptied tracker vectors of closed elements, reused by the next
+    /// element that has registrations (so their capacity is kept).
+    spare_trackers: Vec<Vec<Tracker>>,
     /// Deliverables for the current stream seam, in delivery order.
     /// `Pending::Sax` refers to the *source's current event* — the source
     /// is not advanced again until the queue is drained, so the borrowed
@@ -241,6 +244,7 @@ impl<'d, S: EventSource> XsaxParser<'d, S> {
             decls,
             atts,
             stack: Vec::new(),
+            spare_trackers: Vec::new(),
             pending: VecDeque::new(),
             injected: Vec::new(),
             compat: RawEvent::new(),
@@ -524,17 +528,18 @@ impl<'d, S: EventSource> XsaxParser<'d, S> {
 
         // Open the element and instantiate its trackers.
         let depth = self.stack.len() + 1;
+        let mut trackers = Vec::new();
+        if let Some(ids) = self.by_element.get(&sym) {
+            trackers = self.spare_trackers.pop().unwrap_or_default();
+            trackers.extend(ids.iter().map(|&id| Tracker { id, fired: false }));
+        }
         let mut elem = OpenElement {
             symbol: sym,
             dfa: &decl.dfa,
             state: decl.dfa.start(),
             text_allowed: decl.text_allowed,
             depth,
-            trackers: self
-                .by_element
-                .get(&sym)
-                .map(|ids| ids.iter().map(|&id| Tracker { id, fired: false }).collect())
-                .unwrap_or_default(),
+            trackers,
         };
 
         // Delivery order: parent seam fires (already queued), then the
@@ -594,7 +599,11 @@ impl<'d, S: EventSource> XsaxParser<'d, S> {
             &mut self.pending,
             &mut self.tel,
         );
-        self.stack.pop();
+        let mut trackers = self.stack.pop().expect("checked above").trackers;
+        if trackers.capacity() > 0 {
+            trackers.clear();
+            self.spare_trackers.push(trackers);
+        }
 
         self.pending.push_back(Pending::Sax);
 

@@ -15,16 +15,19 @@
 //!   projection baseline and the DOM baseline over the workload's query.
 //!   Output bytes must agree across architectures; for the FluX engine,
 //!   output *and* run statistics (peak/total buffer accounting, event
-//!   counts) must be invariant across shard counts and interner caps.
+//!   counts) must be invariant across shard counts and interner caps, and
+//!   across warm runs: an engine that has already run other documents
+//!   and a failing one reproduces a fresh engine's output, statistics and
+//!   errors exactly.
 //!
 //! The harness is a library so the workspace's release `conformance` CI
 //! job, the proptest suites and one-off reproductions all drive the same
 //! assertions.
 
-use flux_bench::{run_engine_input, run_engine_with};
+use flux_bench::{run_engine_input, run_engine_with, RunOutcome};
 use flux_shard::{ReplayMode, ShardConfig, ShardedReader};
 use flux_xml::{EventSource, Position, RawEvent, ReaderConfig, XmlEvent, XmlReader};
-use fluxquery_core::{EngineKind, Input, Options, Parallelism, RunStats};
+use fluxquery_core::{AnyEngine, EngineKind, Input, Options, Parallelism, RunStats};
 
 pub use flux_bench::{workload, workloads, Workload};
 pub use flux_xmlgen::{corpus, CorpusEntry};
@@ -247,6 +250,11 @@ pub fn assert_engines_equivalent(w: &Workload, scale: f64, seed: u64) {
         );
     }
 
+    // Warm runs: recycled scratch must be unobservable.
+    for cap in [None, Some(TINY_CAP)] {
+        assert_warm_runs_equivalent(w, &doc, scale, seed, cap, &reference);
+    }
+
     // FluX: output and stats invariant across shards × caps.
     for shards in SHARD_COUNTS {
         for cap in [None, Some(TINY_CAP)] {
@@ -272,6 +280,95 @@ pub fn assert_engines_equivalent(w: &Workload, scale: f64, seed: u64) {
                 reference.stats
             );
         }
+    }
+}
+
+/// What a FluX run observably produced: output bytes and the stats
+/// fingerprint, or the rendered error (kind, message and position).
+type Observed = Result<(Vec<u8>, (usize, usize, u64, u64, u64)), String>;
+
+fn observe(engine: &AnyEngine, bytes: &[u8]) -> Observed {
+    let mut output = Vec::new();
+    engine
+        .run_input(Input::from_bytes(bytes.to_vec()), &mut output)
+        .map(|stats| (output, stats_fingerprint(&stats)))
+        .map_err(|e| e.to_string())
+}
+
+/// The warm axis of the engine tier: one sequential FluX engine (interner
+/// `cap`) runs another document of the workload, then `doc`, then a
+/// failing corpus entry, then both documents again. Every run of `doc`
+/// must reproduce the fresh `reference` (output and stats), and the
+/// failing entry must fail exactly as on a fresh engine. The failed run
+/// drops its scratch, so the last run also covers a pool refilled after a
+/// failure.
+fn assert_warm_runs_equivalent(
+    w: &Workload,
+    doc: &str,
+    scale: f64,
+    seed: u64,
+    cap: Option<usize>,
+    reference: &RunOutcome,
+) {
+    let query = w.query.expect("engine-tier workload");
+    let dtd = w.dtd.expect("engine-tier workload");
+    let compile = || {
+        options(Parallelism::Sequential, cap)
+            .compile(EngineKind::Flux, query, dtd)
+            .unwrap_or_else(|e| panic!("{}: flux failed to compile: {e}", w.id))
+    };
+    let other = w.document(scale, seed + 1);
+    let entries = corpus();
+    let failing = &entries[seed as usize % entries.len()];
+    let expected: Observed = Ok((
+        reference.output.clone(),
+        stats_fingerprint(&reference.stats),
+    ));
+    let fresh_failure = observe(&compile(), &failing.bytes);
+    assert!(
+        fresh_failure.is_err(),
+        "{}: corpus entry {} ran cleanly",
+        w.id,
+        failing.id
+    );
+
+    let engine = compile();
+    let warm_other = observe(&engine, other.as_bytes());
+    assert_eq!(
+        warm_other,
+        observe(&compile(), other.as_bytes()),
+        "{}: a first run diverged from a fresh engine (cap {cap:?})",
+        w.id
+    );
+    let label = |step: &str| format!("{}: warm run {step} diverged (cap {cap:?})", w.id);
+    assert_eq!(
+        observe(&engine, doc.as_bytes()),
+        expected,
+        "{}",
+        label("after another document")
+    );
+    assert_eq!(
+        observe(&engine, &failing.bytes),
+        fresh_failure,
+        "{}",
+        label(&format!("of corpus entry {}", failing.id))
+    );
+    assert_eq!(
+        observe(&engine, other.as_bytes()),
+        warm_other,
+        "{}",
+        label("after a failure")
+    );
+    for step in [
+        "after another document and a failure",
+        "of the same document",
+    ] {
+        assert_eq!(
+            observe(&engine, doc.as_bytes()),
+            expected,
+            "{}",
+            label(step)
+        );
     }
 }
 

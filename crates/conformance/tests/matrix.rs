@@ -5,7 +5,9 @@
 //! kept modest so the debug-mode run stays fast; the axes (not the
 //! document sizes) are what the differential assertions exercise.
 
-use flux_conformance::{assert_engines_equivalent, assert_stream_equivalent, workload, workloads};
+use flux_conformance::{
+    assert_engines_equivalent, assert_stream_equivalent, workload, workloads, TINY_CAP,
+};
 use flux_xmlgen::{auction_string, AuctionConfig};
 
 #[test]
@@ -57,4 +59,37 @@ fn auction_size_axis_reaches_multi_mb() {
 #[test]
 fn name_mint_adversary_is_marked() {
     assert!(workload("name_mint").adversarial_names);
+}
+
+#[test]
+fn warm_runs_spell_minted_names_from_their_own_document() {
+    // The reader's name cache maps a name to its symbol by the name's
+    // first byte and length. A warm run starts from an interner truncated
+    // back to its seed, so a cache entry left by an earlier document for
+    // a name past the seed points at a symbol the next document may mint
+    // for a different name. Here the second document mints `zq` first
+    // (taking the symbol `ab` held in the first document), then reuses
+    // `ab`, then mints `ax`, which shares `ab`'s cache way. Copying the
+    // books out prints every attribute name, so a stale cache entry would
+    // spell `ab` as `zq`.
+    use fluxquery_core::{EngineKind, Input, Options};
+    let dtd = "<!ELEMENT bib (book)*>\n<!ELEMENT book EMPTY>";
+    let query = r#"<r>{ for $b in $ROOT/bib/book return $b }</r>"#;
+    let first = r#"<bib><book ab="1"/></bib>"#;
+    let second = r#"<bib><book zq="2"/><book ab="3"/><book ax="4"/></bib>"#;
+    let expected = r#"<r><book zq="2"></book><book ab="3"></book><book ax="4"></book></r>"#;
+    let run = |engine: &fluxquery_core::AnyEngine, doc: &str| {
+        let mut out = Vec::new();
+        engine
+            .run_input(Input::from_bytes(doc.as_bytes().to_vec()), &mut out)
+            .unwrap();
+        String::from_utf8(out).unwrap()
+    };
+    for options in [Options::new(), Options::with_max_symbols(TINY_CAP)] {
+        let engine = options.compile(EngineKind::Flux, query, dtd).unwrap();
+        assert_eq!(run(&engine, first), r#"<r><book ab="1"></book></r>"#);
+        for _ in 0..2 {
+            assert_eq!(run(&engine, second), expected);
+        }
+    }
 }

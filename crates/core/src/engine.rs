@@ -5,15 +5,12 @@ use crate::error::Result;
 use flux_baseline::{DomEngine, ProjectionEngine};
 use flux_dtd::Dtd;
 use flux_lang::{compile as compile_flux, CompileOptions, FluxQuery, OptimizerConfig};
-use flux_runtime::{
-    compile_plan, execute_plan, execute_plan_from_source, execute_plan_from_source_with_report,
-    execute_plan_with_report, Plan, RunReport, RunStats,
-};
+use flux_runtime::{compile_plan, Plan, RunReport, RunScratch, RunStats};
 use flux_shard::{ShardConfig, ShardedReader};
 use flux_xml::{BudgetKind, Input, MemoryBudget, ResolvedInput};
 use flux_xsax::XsaxConfig;
 use std::io::{Read, Write};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// How the engine parses its input stream.
 ///
@@ -198,13 +195,30 @@ impl Options {
 
 /// The FluXQuery engine: a query compiled against a DTD, ready to run over
 /// any number of input streams.
+///
+/// Runs are **warm**: everything a run grows — reader window and interner,
+/// XSAX tables and stacks, buffer arena, evaluator and writer pools — is
+/// kept in a [`RunScratch`] and handed to the next run, reset to a fresh
+/// run's state, instead of being rebuilt. The engine pools one scratch per
+/// concurrent run: a run pops one (or starts cold), and pushes it back
+/// only when it succeeded; the lock is held just for the pop and the push.
 pub struct FluxEngine {
     dtd: Dtd,
     query: FluxQuery,
     plan: Plan,
     xsax: XsaxConfig,
     parallelism: Parallelism,
+    scratch: Mutex<Vec<RunScratch>>,
 }
+
+// One compiled engine serves concurrent runs from many threads, each run
+// with its own pooled scratch; the plan's shared handler bodies are `Arc`s
+// for that reason.
+const _: fn() = || {
+    fn shareable<T: Send + Sync>() {}
+    shareable::<FluxEngine>();
+    shareable::<AnyEngine>();
+};
 
 impl FluxEngine {
     /// Compiles `query` against `dtd_text` (standalone DTD syntax).
@@ -243,6 +257,7 @@ impl FluxEngine {
             plan,
             xsax: options.xsax.clone(),
             parallelism: options.parallelism,
+            scratch: Mutex::new(Vec::new()),
         })
     }
 
@@ -265,21 +280,7 @@ impl FluxEngine {
     /// input takes the zero-copy buffered shard path while a reader is
     /// dispatched incrementally and never materialised.
     pub fn run_input<W: Write>(&self, input: Input, output: W) -> Result<RunStats> {
-        let budget = input.memory_budget().cloned();
-        let stats = match self.parallelism {
-            Parallelism::Sequential => {
-                let xsax = self.xsax_for(&input);
-                let reader = resolve(input)?.into_reader();
-                execute_plan(&self.plan, &self.dtd, reader, output, xsax)?
-            }
-            Parallelism::Shards(n) => {
-                let xsax = self.xsax_for(&input);
-                let source = self.sharded_source(input, n)?;
-                execute_plan_from_source(&self.plan, &self.dtd, source, output, xsax)?
-            }
-        };
-        enforce_budget(budget, &stats)?;
-        Ok(stats)
+        self.run_warm(input, output, false).map(|(stats, _)| stats)
     }
 
     /// [`run_input`](Self::run_input) plus the telemetry [`RunReport`].
@@ -288,21 +289,41 @@ impl FluxEngine {
         input: Input,
         output: W,
     ) -> Result<(RunStats, RunReport)> {
+        let (stats, report) = self.run_warm(input, output, true)?;
+        Ok((stats, report.expect("report requested")))
+    }
+
+    /// Every run goes through here: pop a recycled scratch (or start
+    /// cold), run, and pool the scratch again only if the run succeeded —
+    /// a failed or panicking run drops it.
+    fn run_warm<W: Write>(
+        &self,
+        input: Input,
+        output: W,
+        want_report: bool,
+    ) -> Result<(RunStats, Option<RunReport>)> {
         let budget = input.memory_budget().cloned();
+        let xsax = self.xsax_for(&input);
+        let mut scratch = self.pool().pop().unwrap_or_default();
         let (stats, report) = match self.parallelism {
             Parallelism::Sequential => {
-                let xsax = self.xsax_for(&input);
                 let reader = resolve(input)?.into_reader();
-                execute_plan_with_report(&self.plan, &self.dtd, reader, output, xsax)?
+                scratch.execute(&self.plan, &self.dtd, reader, output, xsax, want_report)?
             }
             Parallelism::Shards(n) => {
-                let xsax = self.xsax_for(&input);
                 let source = self.sharded_source(input, n)?;
-                execute_plan_from_source_with_report(&self.plan, &self.dtd, source, output, xsax)?
+                scratch.execute_source(&self.plan, &self.dtd, source, output, xsax, want_report)?
             }
         };
         enforce_budget(budget, &stats)?;
+        self.pool().push(scratch);
         Ok((stats, report))
+    }
+
+    /// The scratch pool. Its lock guards only a pop or a push, so a panic
+    /// elsewhere cannot leave it inconsistent: a poisoned lock is used as is.
+    fn pool(&self) -> std::sync::MutexGuard<'_, Vec<RunScratch>> {
+        self.scratch.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// The validation config for one run: compile-time XSAX options plus
@@ -514,6 +535,86 @@ mod tests {
         for (label, out) in &outputs {
             assert_eq!(*out, first, "{label} diverged");
         }
+    }
+
+    #[test]
+    fn concurrent_runs_match_fresh_sequential_runs() {
+        use std::sync::Barrier;
+        /// A sink whose first write waits until every thread is mid-run,
+        /// so all four runs hold a scratch at once.
+        struct Rendezvous<'a> {
+            out: Vec<u8>,
+            barrier: Option<&'a Barrier>,
+        }
+        impl Write for Rendezvous<'_> {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                if let Some(barrier) = self.barrier.take() {
+                    barrier.wait();
+                }
+                self.out.extend_from_slice(buf);
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let fingerprint = |s: &RunStats| {
+            (
+                s.peak_buffer_bytes,
+                s.peak_buffer_nodes,
+                s.total_buffered_bytes,
+                s.output_bytes,
+                s.events,
+            )
+        };
+        let docs: Vec<String> = (0..16)
+            .map(|d| {
+                let mut doc = String::from("<bib>");
+                for i in 0..d % 5 + 1 {
+                    doc.push_str(&format!(
+                        "<book extra{d}=\"x\"><author>A{d}.{i}</author><title>T{d}</title>\
+                         <author>{}</author></book>",
+                        "late ".repeat(d * i)
+                    ));
+                }
+                doc.push_str("</bib>");
+                doc
+            })
+            .collect();
+        let fresh: Vec<_> = docs
+            .iter()
+            .map(|doc| {
+                let engine = FluxEngine::compile(Q3, PAPER_WEAK_DTD, &Options::new()).unwrap();
+                let (out, stats) = engine.run_to_string(doc).unwrap();
+                (out.into_bytes(), fingerprint(&stats))
+            })
+            .collect();
+        let engine = FluxEngine::compile(Q3, PAPER_WEAK_DTD, &Options::new()).unwrap();
+        let barrier = Barrier::new(4);
+        std::thread::scope(|scope| {
+            for t in 0..4 {
+                let (engine, docs, fresh, barrier) = (&engine, &docs, &fresh, &barrier);
+                scope.spawn(move || {
+                    for round in 0..3 {
+                        for i in (t..docs.len()).step_by(4) {
+                            let mut sink = Rendezvous {
+                                out: Vec::new(),
+                                barrier: (round == 0 && i == t).then_some(barrier),
+                            };
+                            let stats = engine
+                                .run_input(Input::from_bytes(docs[i].clone()), &mut sink)
+                                .unwrap();
+                            assert_eq!(
+                                (sink.out, fingerprint(&stats)),
+                                fresh[i],
+                                "thread {t}, round {round}, document {i}"
+                            );
+                        }
+                    }
+                });
+            }
+        });
+        assert_eq!(engine.pool().len(), 4, "one scratch per concurrent run");
     }
 
     #[test]

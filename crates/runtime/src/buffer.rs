@@ -37,6 +37,7 @@
 //! side table.
 
 use crate::stats::MemoryTracker;
+use flux_xml::recycle;
 use flux_xml::tree::{Document, NodeAttr, NodeId, NodeKind};
 use flux_xml::{Attribute, RawEvent, RawEventRef, SymbolTable, TextGate};
 use flux_xquery::{CompiledPath, CursorPool, ItemCursor, PathCursor};
@@ -83,6 +84,23 @@ impl BufferArena {
             gate: TextGate::new(),
             tracker: MemoryTracker::new(),
         }
+    }
+
+    /// Returns the arena to the state [`BufferArena::with_symbols`] built
+    /// it in, for the next run over the same seed: the document back to
+    /// its seeded state (no nodes, no names past the seed, no shared-text
+    /// dictionary), no free slots, a new gate generation and a fresh
+    /// tracker. The spare pools survive — they are machine state, not
+    /// buffered data — but each keeps at most `max_bytes`, so one large
+    /// buffered subtree does not stay resident.
+    pub fn reset(&mut self, max_bytes: usize) {
+        self.doc.reset(max_bytes);
+        recycle::reuse(&mut self.free_slots, max_bytes);
+        recycle::trim_pool(&mut self.spare_strings, max_bytes);
+        recycle::trim_pool(&mut self.spare_attr_vecs, max_bytes);
+        recycle::reuse(&mut self.free_stack, max_bytes);
+        self.gate.bump_generation();
+        self.tracker = MemoryTracker::new();
     }
 
     /// Read access for the interpreter.
@@ -404,6 +422,34 @@ mod tests {
         assert_eq!(doc.children(book).len(), 2);
         assert_eq!(doc.string_value(book), "TCP/IPStevens");
         assert_eq!(doc.attribute(book, "year"), Some("1994"));
+    }
+
+    #[test]
+    fn reset_arena_behaves_like_a_fresh_one() {
+        // One run's worth of state left behind: a live scope, a name
+        // minted past the seed, sightings in the current gate generation,
+        // a non-zero tracker.
+        let mut seed = SymbolTable::new();
+        seed.intern("bib");
+        let drive = |arena: &mut BufferArena| {
+            let scope = arena.create_element("bib", &[Attribute::new("minted", "v")]);
+            for _ in 0..3 {
+                let e = arena.append_element(scope, "author", &[]);
+                arena.append_text(e, "Recurring");
+            }
+            (
+                arena.peak_bytes(),
+                arena.tracker().total_allocated_bytes(),
+                arena.doc().node_count(),
+                arena.doc().symbols().len(),
+                arena.doc().shared_text_lookup("Recurring"),
+            )
+        };
+        let expected = drive(&mut BufferArena::with_symbols(seed.clone()));
+        let mut recycled = BufferArena::with_symbols(seed);
+        drive(&mut recycled);
+        recycled.reset(1 << 16);
+        assert_eq!(drive(&mut recycled), expected);
     }
 
     #[test]

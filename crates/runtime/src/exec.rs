@@ -22,6 +22,18 @@
 //! pools and the evaluator's pools have grown to the document's largest
 //! element, the composed loop makes no heap allocation per event
 //! (`tests/zero_alloc_exec.rs`).
+//!
+//! What a run grows outlives it in a [`RunScratch`]: the reader's window,
+//! interner and name cache, the XSAX parser's registrations, tables and
+//! stacks, and the executor's arena, bindings, frame stacks, evaluator
+//! pools and writer stacks. A run over recycled scratch starts exactly
+//! where a cold run starts — interners truncated to their seed, the arena
+//! document emptied, a new text-gate generation, a fresh tracker — but
+//! without rebuilding anything, and a successful run resets the scratch
+//! (releasing whatever the input grew past the configured window) before
+//! handing it back. A failed run leaves its scratch empty. The
+//! `execute_plan*` functions run over an empty scratch; `FluxEngine`
+//! pools scratches, so all of its runs after the first are warm.
 
 use crate::buffer::BufferArena;
 use crate::error::{Result, RuntimeError};
@@ -30,10 +42,14 @@ use crate::stats::RunStats;
 use flux_dtd::Dtd;
 use flux_lang::FluxQuery;
 use flux_telemetry::{RunReport, RuntimeCounters, Stage};
+use flux_xml::recycle;
 use flux_xml::tree::NodeId;
-use flux_xml::{EventSource, RawEventKind, RawEventRef, SymbolTable, XmlWriter};
+use flux_xml::{
+    EventSource, RawEventKind, RawEventRef, ReaderParts, SymbolTable, WriterConfig, WriterParts,
+    XmlWriter,
+};
 use flux_xquery::{CompiledExpr, CursorEvaluator, Slots};
-use flux_xsax::{XsaxConfig, XsaxParser, XsaxStep};
+use flux_xsax::{seeded_reader, XsaxConfig, XsaxParser, XsaxParts, XsaxStep};
 use std::io::{Read, Write};
 use std::time::Instant;
 
@@ -96,7 +112,8 @@ impl<'d> Executor<'d> {
 
 /// Runs a pre-compiled physical plan over an input stream. This is the
 /// lowest-level entry point; [`Executor`] and the `fluxquery-core` facade
-/// wrap it.
+/// wrap it. Starts cold: a [`RunScratch`] reused across runs of the same
+/// plan skips the set-up this pays.
 pub fn execute_plan<R: Read, W: Write>(
     plan: &Plan,
     dtd: &Dtd,
@@ -104,7 +121,8 @@ pub fn execute_plan<R: Read, W: Write>(
     output: W,
     config: XsaxConfig,
 ) -> Result<RunStats> {
-    run_events(plan, XsaxParser::with_config(input, dtd, config)?, output)
+    let (stats, _) = RunScratch::default().execute(plan, dtd, input, output, config, false)?;
+    Ok(stats)
 }
 
 /// [`execute_plan`] plus the run's assembled telemetry [`RunReport`].
@@ -115,12 +133,7 @@ pub fn execute_plan_with_report<R: Read, W: Write>(
     output: W,
     config: XsaxConfig,
 ) -> Result<(RunStats, RunReport)> {
-    let (stats, report) = run_events_inner(
-        plan,
-        XsaxParser::with_config(input, dtd, config)?,
-        output,
-        true,
-    )?;
+    let (stats, report) = RunScratch::default().execute(plan, dtd, input, output, config, true)?;
     Ok((stats, report.expect("report requested")))
 }
 
@@ -136,7 +149,9 @@ pub fn execute_plan_from_source<S: EventSource, W: Write>(
     output: W,
     config: XsaxConfig,
 ) -> Result<RunStats> {
-    run_events(plan, XsaxParser::from_source(source, dtd, config)?, output)
+    let (stats, _) =
+        RunScratch::default().execute_source(plan, dtd, source, output, config, false)?;
+    Ok(stats)
 }
 
 /// [`execute_plan_from_source`] plus the run's telemetry [`RunReport`] —
@@ -149,57 +164,138 @@ pub fn execute_plan_from_source_with_report<S: EventSource, W: Write>(
     output: W,
     config: XsaxConfig,
 ) -> Result<(RunStats, RunReport)> {
-    let (stats, report) = run_events_inner(
-        plan,
-        XsaxParser::from_source(source, dtd, config)?,
-        output,
-        true,
-    )?;
+    let (stats, report) =
+        RunScratch::default().execute_source(plan, dtd, source, output, config, true)?;
     Ok((stats, report.expect("report requested")))
 }
 
-fn run_events<S: EventSource, W: Write>(
-    plan: &Plan,
-    parser: XsaxParser<'_, S>,
-    output: W,
-) -> Result<RunStats> {
-    run_events_inner(plan, parser, output, false).map(|(stats, _)| stats)
+/// Everything one run of a plan grows, kept for the next run of the same
+/// plan: the sequential reader's storage (scanner window, interner, name
+/// cache), the XSAX parser's (registrations, tables, stacks, queue) and
+/// the executor's (buffer arena, bindings, the four frame stacks, the
+/// cursor evaluator's pools, the writer's stacks).
+///
+/// A successful run resets every part to a fresh run's state before
+/// keeping it — interners truncated back to their seed, name-cache entries
+/// past the seed invalidated, the arena document emptied, a new text-gate
+/// generation, a fresh memory tracker — and releases whatever the input
+/// grew past the configured window, so reuse is unobservable in output,
+/// statistics and errors, and retention stays bounded. A run that fails
+/// leaves the scratch empty: the next run starts cold.
+///
+/// The scratch belongs to one plan (the XSAX registrations ride along):
+/// never hand it to a run of a different plan or DTD.
+#[derive(Default)]
+pub struct RunScratch {
+    reader: Option<ReaderParts>,
+    xsax: XsaxParts,
+    exec: ExecParts,
 }
 
-fn run_events_inner<S: EventSource, W: Write>(
-    plan: &Plan,
-    mut parser: XsaxParser<'_, S>,
-    output: W,
-    want_report: bool,
-) -> Result<(RunStats, Option<RunReport>)> {
-    let start_time = Instant::now();
-    for reg in &plan.past_regs {
-        parser.register_past(reg.element, reg.labels.clone())?;
+/// The executor's share of a [`RunScratch`].
+#[derive(Default)]
+struct ExecParts {
+    arena: Option<BufferArena>,
+    slots: Slots,
+    evaluator: CursorEvaluator,
+    writer: WriterParts,
+    frames: Vec<Frame>,
+    targets: Vec<(NodeId, SpecView)>,
+    scopes: Vec<PsId>,
+    bindings: Vec<(usize, Option<NodeId>)>,
+    shells: Vec<NodeId>,
+}
+
+impl RunScratch {
+    /// [`execute_plan`] (or [`execute_plan_with_report`] with
+    /// `want_report`) over this scratch's recycled storage.
+    pub fn execute<R: Read, W: Write>(
+        &mut self,
+        plan: &Plan,
+        dtd: &Dtd,
+        input: R,
+        output: W,
+        config: XsaxConfig,
+        want_report: bool,
+    ) -> Result<(RunStats, Option<RunReport>)> {
+        let max_bytes = config.window;
+        let reader = seeded_reader(input, dtd, &config, self.reader.take());
+        let parser = XsaxParser::from_parts(reader, dtd, config, std::mem::take(&mut self.xsax))?;
+        let (stats, report, reader) = self.drive(plan, parser, output, want_report, max_bytes)?;
+        self.reader = Some(reader.into_parts());
+        Ok((stats, report))
     }
-    let mut state = ExecState::new(plan, parser.symbols(), output);
-    while let Some(step) = parser.next_step()? {
-        state.events += 1;
-        match step {
-            XsaxStep::Sax => {
-                let v = parser.view();
-                state.handle(&v, parser.symbols())?;
+
+    /// [`execute_plan_from_source`] (or its report variant) over this
+    /// scratch's recycled XSAX and executor storage; the source brings
+    /// its own.
+    pub fn execute_source<S: EventSource, W: Write>(
+        &mut self,
+        plan: &Plan,
+        dtd: &Dtd,
+        source: S,
+        output: W,
+        config: XsaxConfig,
+        want_report: bool,
+    ) -> Result<(RunStats, Option<RunReport>)> {
+        let max_bytes = config.window;
+        let parser = XsaxParser::from_parts(source, dtd, config, std::mem::take(&mut self.xsax))?;
+        let (stats, report, _source) = self.drive(plan, parser, output, want_report, max_bytes)?;
+        Ok((stats, report))
+    }
+
+    /// The event loop. The executor and parser parts are taken out of
+    /// `self` for the run and put back, reset and trimmed to `max_bytes`
+    /// per buffer, only once it succeeded.
+    fn drive<S: EventSource, W: Write>(
+        &mut self,
+        plan: &Plan,
+        mut parser: XsaxParser<'_, S>,
+        output: W,
+        want_report: bool,
+        max_bytes: usize,
+    ) -> Result<(RunStats, Option<RunReport>, S)> {
+        let start_time = Instant::now();
+        // Recycled parser parts arrive with the plan's registrations armed.
+        if parser.registration_count() == 0 {
+            for reg in &plan.past_regs {
+                parser.register_past(reg.element, reg.labels.clone())?;
             }
-            XsaxStep::Fire { id, depth } => state.on_first(id.index(), depth)?,
         }
+        debug_assert_eq!(parser.registration_count(), plan.past_regs.len());
+        let mut state = ExecState::from_parts(
+            plan,
+            parser.symbols(),
+            output,
+            std::mem::take(&mut self.exec),
+        );
+        while let Some(step) = parser.next_step()? {
+            state.events += 1;
+            match step {
+                XsaxStep::Sax => {
+                    let v = parser.view();
+                    state.handle(&v, parser.symbols())?;
+                }
+                XsaxStep::Fire { id, depth } => state.on_first(id.index(), depth)?,
+            }
+        }
+        state.writer.finish()?;
+        let stats = RunStats {
+            peak_buffer_bytes: state.arena.tracker().peak_bytes(),
+            peak_buffer_nodes: state.arena.tracker().peak_nodes(),
+            total_buffered_bytes: state.arena.tracker().total_allocated_bytes(),
+            output_bytes: state.writer.bytes_written(),
+            events: state.events,
+            duration: start_time.elapsed(),
+        };
+        // Report assembly happens once, after the stream is drained — the
+        // plain path skips even that.
+        let report = want_report.then(|| assemble_report(&parser, &state, &stats));
+        self.exec = state.into_parts(max_bytes);
+        let (source, xsax) = parser.into_parts();
+        self.xsax = xsax;
+        Ok((stats, report, source))
     }
-    state.writer.finish()?;
-    let stats = RunStats {
-        peak_buffer_bytes: state.arena.tracker().peak_bytes(),
-        peak_buffer_nodes: state.arena.tracker().peak_nodes(),
-        total_buffered_bytes: state.arena.tracker().total_allocated_bytes(),
-        output_bytes: state.writer.bytes_written(),
-        events: state.events,
-        duration: start_time.elapsed(),
-    };
-    // Report assembly happens once, after the stream is drained — the
-    // plain `run_events` path skips even that.
-    let report = want_report.then(|| assemble_report(&parser, &state, &stats));
-    Ok((stats, report))
 }
 
 /// Builds the unified [`RunReport`]: the source's stages (scanner/reader,
@@ -257,25 +353,79 @@ struct ExecState<'p, W: Write> {
 }
 
 impl<'p, W: Write> ExecState<'p, W> {
-    fn new(plan: &'p Plan, symbols: &SymbolTable, output: W) -> Self {
+    /// Executor state for one run of `plan` over recycled `parts` (empty
+    /// parts for a cold run).
+    fn from_parts(plan: &'p Plan, symbols: &SymbolTable, output: W, parts: ExecParts) -> Self {
+        let ExecParts {
+            arena,
+            mut slots,
+            evaluator,
+            writer,
+            frames,
+            targets,
+            scopes,
+            bindings,
+            shells,
+        } = parts;
         // The BDF's edges were interned at plan-compile time against the
         // DTD's table — the same index space the stream's seeded interner
         // uses — so per-event descent is pure symbol equality with no
         // per-run index build. The arena document seeds its name table
-        // from the stream's, so buffered names import as integer copies.
+        // from the stream's, so buffered names import as integer copies;
+        // a recycled arena was reset to that same seed.
+        let arena = arena.unwrap_or_else(|| BufferArena::with_symbols(symbols.clone()));
+        debug_assert_eq!(arena.doc().symbols().len(), symbols.len());
+        slots.clear();
+        slots.resize(plan.slots.len(), None);
         ExecState {
             plan,
-            arena: BufferArena::with_symbols(symbols.clone()),
-            slots: plan.slots.make_slots(),
-            evaluator: CursorEvaluator::new(),
-            writer: XmlWriter::new(output),
-            frames: Vec::new(),
-            targets: Vec::new(),
-            scopes: Vec::new(),
-            bindings: Vec::new(),
-            shells: Vec::new(),
+            arena,
+            slots,
+            evaluator,
+            writer: XmlWriter::from_parts(output, WriterConfig::default(), writer),
+            frames,
+            targets,
+            scopes,
+            bindings,
+            shells,
             events: 0,
             tel: RuntimeCounters::default(),
+        }
+    }
+
+    /// Ends the run and returns its storage reset for the next run of the
+    /// same plan, keeping at most `max_bytes` per buffer or pool.
+    fn into_parts(self, max_bytes: usize) -> ExecParts {
+        let ExecState {
+            mut arena,
+            slots,
+            mut evaluator,
+            writer,
+            mut frames,
+            mut targets,
+            mut scopes,
+            mut bindings,
+            mut shells,
+            ..
+        } = self;
+        arena.reset(max_bytes);
+        evaluator.trim(max_bytes);
+        let (_, writer) = writer.into_parts(max_bytes);
+        recycle::reuse(&mut frames, max_bytes);
+        recycle::reuse(&mut targets, max_bytes);
+        recycle::reuse(&mut scopes, max_bytes);
+        recycle::reuse(&mut bindings, max_bytes);
+        recycle::reuse(&mut shells, max_bytes);
+        ExecParts {
+            arena: Some(arena),
+            slots,
+            evaluator,
+            writer,
+            frames,
+            targets,
+            scopes,
+            bindings,
+            shells,
         }
     }
 
@@ -847,7 +997,7 @@ mod tests {
             .iter()
             .position(|r| r.element == book)
             .expect("Q3 registers an on-first on book");
-        let mut state = ExecState::new(&plan, &symbols, Vec::new());
+        let mut state = ExecState::from_parts(&plan, &symbols, Vec::new(), ExecParts::default());
         let mut ev = RawEvent::new();
         state.start_document(&symbols).unwrap();
         for name in ["bib", "book", "author"] {
@@ -940,7 +1090,7 @@ mod tests {
         let query = compile(q, &dtd, &CompileOptions::default()).unwrap();
         let plan = compile_plan(&query, &dtd).unwrap();
         let symbols = flux_xsax::seeded_symbols(&dtd);
-        let mut state = ExecState::new(&plan, &symbols, Vec::new());
+        let mut state = ExecState::from_parts(&plan, &symbols, Vec::new(), ExecParts::default());
         let mut ev = RawEvent::new();
         state.start_document(&symbols).unwrap();
         for name in ["bib", "book", "title"] {

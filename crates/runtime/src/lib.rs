@@ -18,7 +18,7 @@ pub use buffer::BufferArena;
 pub use error::{Result, RuntimeError};
 pub use exec::{
     execute_plan, execute_plan_from_source, execute_plan_from_source_with_report,
-    execute_plan_with_report, Executor,
+    execute_plan_with_report, Executor, RunScratch,
 };
 pub use flux_telemetry::RunReport;
 pub use plan::{compile_plan, Plan, PsId};

@@ -24,7 +24,7 @@ use flux_xquery::{
 };
 use flux_xsax::PastLabels;
 use std::collections::BTreeSet;
-use std::rc::Rc;
+use std::sync::Arc;
 
 /// Index of a process-stream plan.
 pub type PsId = usize;
@@ -36,12 +36,12 @@ pub enum PlanExpr {
     /// Constant text output.
     Text(String),
     /// Evaluate a compiled expression over the buffer store, now.
-    BufferedEval(Rc<CompiledExpr>),
+    BufferedEval(Arc<CompiledExpr>),
     Sequence(Vec<PlanExpr>),
     Element {
         name: String,
         /// Attribute templates, compiled against the plan's slot map.
-        attributes: Rc<Vec<CompiledAttr>>,
+        attributes: Arc<Vec<CompiledAttr>>,
         content: Box<PlanExpr>,
         /// True when the content contains a process-stream or stream-copy:
         /// the end tag is owed when the current child element closes.
@@ -79,7 +79,7 @@ pub enum HandlerPlan {
         past_reg: Option<usize>,
         /// For document-level handlers: fire before or after the root.
         doc_timing: DocTiming,
-        body: Rc<CompiledExpr>,
+        body: Arc<CompiledExpr>,
     },
 }
 
@@ -247,7 +247,7 @@ impl<'d> Compiler<'d> {
             FluxExpr::StreamCopy(_) => Ok(PlanExpr::StreamCopy),
             FluxExpr::Buffered(e) => {
                 self.collect_buffered_needs(e);
-                Ok(PlanExpr::BufferedEval(Rc::new(self.compile_buffered(e)?)))
+                Ok(PlanExpr::BufferedEval(Arc::new(self.compile_buffered(e)?)))
             }
             FluxExpr::Sequence(items) => Ok(PlanExpr::Sequence(
                 items
@@ -279,7 +279,7 @@ impl<'d> Compiler<'d> {
                 let content = self.compile(content)?;
                 Ok(PlanExpr::Element {
                     name: name.clone(),
-                    attributes: Rc::new(compiled_attrs),
+                    attributes: Arc::new(compiled_attrs),
                     content: Box::new(content),
                     deferred_close,
                 })
@@ -359,7 +359,7 @@ impl<'d> Compiler<'d> {
                                 labels: labels.clone(),
                                 past_reg,
                                 doc_timing,
-                                body: Rc::new(self.compile_buffered(e)?),
+                                body: Arc::new(self.compile_buffered(e)?),
                             });
                         }
                     }

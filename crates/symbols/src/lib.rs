@@ -146,6 +146,19 @@ impl SymbolTable {
         self.intern(name)
     }
 
+    /// Forgets every name interned after the first `len`, so the table
+    /// holds exactly what it held when it was `len` long — the reset a
+    /// recycled stream or arena table gets between runs (a seeded table
+    /// truncates back to its seed). Names below `len` keep their symbols.
+    pub fn truncate(&mut self, len: usize) {
+        if len >= self.names.len() {
+            return;
+        }
+        for name in self.names.drain(len..) {
+            self.by_name.remove(&name);
+        }
+    }
+
     /// Looks up an already-interned name.
     pub fn lookup(&self, name: &str) -> Option<Symbol> {
         self.by_name.get(name).copied()
@@ -248,6 +261,27 @@ mod tests {
         assert_eq!(t.lookup("b"), Some(b));
         // And the sentinel is never a valid index.
         assert_eq!(SymbolTable::OVERFLOW.index(), u32::MAX as usize);
+    }
+
+    #[test]
+    fn truncate_forgets_only_the_tail() {
+        let mut table = SymbolTable::new();
+        let a = table.intern("a");
+        let seed = table.len();
+        table.intern("minted");
+        table.intern("another");
+        let heap = table.heap_bytes();
+        table.truncate(seed);
+        assert_eq!(table.len(), seed);
+        assert_eq!(table.lookup("minted"), None);
+        assert_eq!(table.try_name(Symbol::from_index(seed)), None);
+        assert_eq!(table.lookup("a"), Some(a));
+        assert!(table.heap_bytes() < heap);
+        // A name minted again after the truncation gets the index a fresh
+        // table would give it.
+        assert_eq!(table.intern("another"), Symbol::from_index(seed));
+        table.truncate(table.len() + 5);
+        assert_eq!(table.len(), seed + 1, "truncating past the end is a no-op");
     }
 
     #[test]

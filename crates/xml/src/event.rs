@@ -293,6 +293,27 @@ impl RawEvent {
         self.text_synthetic = false;
     }
 
+    /// [`RawEvent::reset`] for a recycled event changing hands between
+    /// inputs: buffers an outsized token grew past `max_bytes` are
+    /// released (see [`crate::recycle`]).
+    pub(crate) fn recycle(&mut self, max_bytes: usize) {
+        self.reset(RawEventKind::StartDocument);
+        self.name = SymbolTable::TEXT;
+        crate::recycle::reuse(&mut self.text, max_bytes);
+        crate::recycle::reuse(&mut self.target, max_bytes);
+        let mut total = 0usize;
+        self.attrs.retain_mut(|a| {
+            crate::recycle::reuse(&mut a.value, max_bytes);
+            crate::recycle::reuse(&mut a.overflow_name, max_bytes);
+            total +=
+                std::mem::size_of::<RawAttr>() + a.value.capacity() + a.overflow_name.capacity();
+            total <= max_bytes
+        });
+        if self.attrs.capacity() * std::mem::size_of::<RawAttr>() > max_bytes {
+            self.attrs.shrink_to_fit();
+        }
+    }
+
     pub fn set_name(&mut self, name: Symbol) {
         self.name = name;
     }

@@ -24,6 +24,7 @@ pub mod escape;
 pub mod event;
 pub mod input;
 pub mod reader;
+pub mod recycle;
 pub mod scan;
 mod scanner;
 pub mod simd;
@@ -41,9 +42,9 @@ pub use input::{
     BudgetCharge, BudgetExceeded, BudgetKind, GzipMode, Input, MemoryBudget, ResolvedInput,
     DEFAULT_WINDOW,
 };
-pub use reader::{is_name_start, parse_to_events, ReaderConfig, XmlReader};
+pub use reader::{is_name_start, parse_to_events, ReaderConfig, ReaderParts, XmlReader};
 pub use simd::{active_isa_name, StructuralIndex};
 pub use source::EventSource;
 pub use tape::{EventTape, SymbolRemap};
 pub use tree::{Document, NodeAttr, NodeId, NodeKind, TextGate, TreeBuilder};
-pub use writer::{events_to_string, WriterConfig, XmlWriter};
+pub use writer::{events_to_string, WriterConfig, WriterParts, XmlWriter};

@@ -32,7 +32,7 @@ use crate::error::{Position, Result, XmlError};
 use crate::escape::unescape_into;
 use crate::event::{RawEvent, RawEventKind, RawEventRef, XmlEvent};
 use crate::input::MemoryBudget;
-use crate::scanner::{Scanner, TagProbe};
+use crate::scanner::{Scanner, ScannerParts, TagProbe};
 use flux_symbols::{Symbol, SymbolTable};
 use flux_telemetry::{ReaderCounters, RunReport, ScanCounters, Stage};
 use std::io::Read;
@@ -134,6 +134,9 @@ struct ReaderCore<R: Read> {
     /// Interner for element and attribute names. Seed it with
     /// [`XmlReader::with_symbols`] to share symbols with a schema.
     symbols: SymbolTable,
+    /// Length of the seed `symbols` started from: names at or past it
+    /// were interned from this input.
+    seed_len: usize,
     /// Symbols of currently open elements.
     stack: Vec<Symbol>,
     /// Second half of an empty-element tag, emitted on the next call.
@@ -153,8 +156,11 @@ struct ReaderCore<R: Read> {
     /// name's first byte xor its length. A document's working set of
     /// element/attribute names is a handful of schema-fixed strings, so a
     /// length check plus memcmp replaces most hash-map probes. Entries
-    /// are valid forever once filled: interning is idempotent and the
-    /// table never forgets.
+    /// stay valid for the rest of the input once filled: interning is
+    /// idempotent and the table only grows while this input is read.
+    /// Between inputs the table is truncated back to its seed, so
+    /// [`XmlReader::into_parts`] invalidates every entry whose symbol lies
+    /// at or past the seed length.
     name_cache: [(Vec<u8>, Symbol); NAME_CACHE_WAYS],
     /// When the current event is a text run served straight from the
     /// scanner window (no entities, no CDATA merge, no refill crossed),
@@ -238,6 +244,40 @@ fn is_name_char(b: u8) -> bool {
     is_name_start(b) || b.is_ascii_digit() || b == b'-' || b == b'.'
 }
 
+/// The storage an [`XmlReader`] recycles across inputs: the scanner
+/// window and index lanes, the name interner (truncated back to its seed),
+/// the name cache, the element stack, scratch buffers and the recycled
+/// event. [`ReaderParts::new`] makes fresh parts around a seed table;
+/// [`XmlReader::into_parts`] hands a finished reader's parts back, reset
+/// so that the next reader built from them behaves exactly like a fresh
+/// one over the same seed.
+pub struct ReaderParts {
+    scanner: ScannerParts,
+    symbols: SymbolTable,
+    stack: Vec<Symbol>,
+    scratch: Vec<u8>,
+    aux: Vec<u8>,
+    spare_overflow: Vec<String>,
+    name_cache: [(Vec<u8>, Symbol); NAME_CACHE_WAYS],
+    current: RawEvent,
+}
+
+impl ReaderParts {
+    /// Fresh parts whose name interner is seeded with `symbols`.
+    pub fn new(symbols: SymbolTable) -> Self {
+        ReaderParts {
+            scanner: ScannerParts::default(),
+            symbols,
+            stack: Vec::new(),
+            scratch: Vec::new(),
+            aux: Vec::new(),
+            spare_overflow: Vec::new(),
+            name_cache: std::array::from_fn(|_| (Vec::new(), SymbolTable::TEXT)),
+            current: RawEvent::new(),
+        }
+    }
+}
+
 impl<R: Read> XmlReader<R> {
     /// Creates a reader with default configuration.
     pub fn new(src: R) -> Self {
@@ -255,7 +295,23 @@ impl<R: Read> XmlReader<R> {
     /// directly comparable with schema symbols (clones preserve indices);
     /// names not in the seed are interned on first sight.
     pub fn with_symbols(src: R, config: ReaderConfig, symbols: SymbolTable) -> Self {
-        let scanner = Scanner::with_window(src, config.window, config.budget.clone());
+        Self::from_parts(src, config, ReaderParts::new(symbols))
+    }
+
+    /// Creates a reader over recycled `parts` (see [`ReaderParts`]); the
+    /// parts' table is the seed.
+    pub fn from_parts(src: R, config: ReaderConfig, parts: ReaderParts) -> Self {
+        let ReaderParts {
+            scanner,
+            symbols,
+            stack,
+            scratch,
+            aux,
+            spare_overflow,
+            name_cache,
+            current,
+        } = parts;
+        let scanner = Scanner::from_parts(src, config.window, config.budget.clone(), scanner);
         XmlReader {
             core: ReaderCore {
                 scanner,
@@ -266,19 +322,69 @@ impl<R: Read> XmlReader<R> {
                     line: 1,
                     column: 1,
                 },
+                seed_len: symbols.len(),
                 symbols,
-                stack: Vec::new(),
+                stack,
                 pending_end: None,
-                scratch: Vec::new(),
-                aux: Vec::new(),
+                scratch,
+                aux,
                 overflow_stack: Vec::new(),
-                spare_overflow: Vec::new(),
-                name_cache: std::array::from_fn(|_| (Vec::new(), SymbolTable::TEXT)),
+                spare_overflow,
+                name_cache,
                 borrowed_text: None,
                 tel: ReaderCounters::default(),
             },
             compat: RawEvent::new(),
-            current: RawEvent::new(),
+            current,
+        }
+    }
+
+    /// Ends this input and returns the reader's storage for the next one,
+    /// reset to a fresh reader's state: the interner truncated back to its
+    /// seed, name-cache entries past the seed invalidated, every stack and
+    /// buffer emptied, and anything a long token grew past the configured
+    /// window released.
+    pub fn into_parts(self) -> ReaderParts {
+        let XmlReader {
+            core, mut current, ..
+        } = self;
+        let ReaderCore {
+            scanner,
+            mut symbols,
+            seed_len,
+            mut stack,
+            mut scratch,
+            mut aux,
+            overflow_stack,
+            mut spare_overflow,
+            mut name_cache,
+            ..
+        } = core;
+        let max_bytes = scanner.window_size();
+        symbols.truncate(seed_len);
+        for (key, sym) in &mut name_cache {
+            // Seed entries stay valid; an entry past the seed names a
+            // symbol the truncation just forgot.
+            if sym.index() >= seed_len || key.capacity() > max_bytes {
+                crate::recycle::reuse(key, max_bytes);
+                *sym = SymbolTable::TEXT;
+            }
+        }
+        crate::recycle::reuse(&mut stack, max_bytes);
+        crate::recycle::reuse(&mut scratch, max_bytes);
+        crate::recycle::reuse(&mut aux, max_bytes);
+        spare_overflow.extend(overflow_stack);
+        crate::recycle::trim_pool(&mut spare_overflow, max_bytes);
+        current.recycle(max_bytes);
+        ReaderParts {
+            scanner: scanner.into_parts(),
+            symbols,
+            stack,
+            scratch,
+            aux,
+            spare_overflow,
+            name_cache,
+            current,
         }
     }
 
@@ -1813,6 +1919,41 @@ mod tests {
             }
         }
         assert_eq!(seen, Some(book), "stream symbol coincides with seed symbol");
+    }
+
+    #[test]
+    fn recycled_parts_read_like_a_fresh_reader() {
+        // The first input mints names past the seed and fills the name
+        // cache with them; the second mints a different name first (the
+        // symbol `ab` held before) and then reuses `ab`.
+        let mut seed = flux_symbols::SymbolTable::new();
+        seed.intern("bib");
+        seed.intern("book");
+        let first = r#"<bib><book ab="1" zz="2">a text run</book></bib>"#;
+        let second = r#"<bib><book zq="3"/><book ab="4"/></bib>"#;
+        let read = |reader: &mut XmlReader<&[u8]>| {
+            let mut out = Vec::new();
+            while let Some(ev) = reader.next().unwrap() {
+                out.push(ev);
+            }
+            out
+        };
+        let mut reader =
+            XmlReader::with_symbols(first.as_bytes(), ReaderConfig::default(), seed.clone());
+        read(&mut reader);
+        let mut warm = XmlReader::from_parts(
+            second.as_bytes(),
+            ReaderConfig::default(),
+            reader.into_parts(),
+        );
+        assert_eq!(
+            warm.symbols().len(),
+            seed.len(),
+            "interner back at its seed"
+        );
+        let mut fresh = XmlReader::with_symbols(second.as_bytes(), ReaderConfig::default(), seed);
+        assert_eq!(read(&mut warm), read(&mut fresh));
+        assert_eq!(warm.symbols().len(), fresh.symbols().len());
     }
 
     // ----- borrowed view API -----

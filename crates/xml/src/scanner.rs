@@ -58,33 +58,75 @@ pub struct Scanner<R: Read> {
     charge: Option<BudgetCharge>,
 }
 
+/// The storage a [`Scanner`] recycles across inputs: the window buffer
+/// and the structural index lanes. Empty parts build a fresh scanner.
+#[derive(Default)]
+pub(crate) struct ScannerParts {
+    buf: Vec<u8>,
+    index: StructuralIndex,
+}
+
 impl<R: Read> Scanner<R> {
     /// Default-window scanner without budget accounting (test convenience;
-    /// production callers thread the window through [`Scanner::with_window`]).
+    /// production callers thread the window through [`Scanner::from_parts`]).
     #[cfg(test)]
     pub fn new(src: R) -> Self {
-        Scanner::with_window(src, crate::input::DEFAULT_WINDOW, None)
+        Scanner::from_parts(
+            src,
+            crate::input::DEFAULT_WINDOW,
+            None,
+            ScannerParts::default(),
+        )
     }
 
-    /// A scanner with an explicit window size, optionally charging its
-    /// buffer against `budget` for the scanner's lifetime.
-    pub fn with_window(src: R, window: usize, budget: Option<Arc<MemoryBudget>>) -> Self {
+    /// A scanner with an explicit window size over recycled `parts`,
+    /// optionally charging its buffer against `budget` for the scanner's
+    /// lifetime. The window is charged in full up front, recycled or not,
+    /// so a budget sees the same charges either way.
+    pub(crate) fn from_parts(
+        src: R,
+        window: usize,
+        budget: Option<Arc<MemoryBudget>>,
+        parts: ScannerParts,
+    ) -> Self {
         let window = window.max(MIN_WINDOW);
+        let ScannerParts { mut buf, index } = parts;
+        // A recycled buffer is already window-sized (see `into_parts`), so
+        // this zero-fills only a first run's window.
+        buf.resize(window, 0);
         let charge = budget.map(|b| b.charge(BudgetKind::Window, window as u64));
         Scanner {
             src,
-            buf: vec![0; window],
+            buf,
             start: 0,
             end: 0,
             eof: false,
             offset: 0,
             line: 1,
             column: 1,
-            index: StructuralIndex::new(),
+            index,
             tel: ScanCounters::default(),
             window,
             charge,
         }
+    }
+
+    /// Releases the source and budget charge and returns the storage for
+    /// the next input: the window buffer cut back to the configured window
+    /// (a long token may have grown it) and the index lanes emptied.
+    pub(crate) fn into_parts(self) -> ScannerParts {
+        let Scanner {
+            mut buf,
+            mut index,
+            window,
+            ..
+        } = self;
+        if buf.len() > window {
+            buf.truncate(window);
+            buf.shrink_to_fit();
+        }
+        index.reset(window);
+        ScannerParts { buf, index }
     }
 
     /// The configured window size in bytes.
@@ -633,8 +675,12 @@ mod tests {
         let budget = crate::input::MemoryBudget::new(u64::MAX);
         let input = "a".repeat(500) + "<rest";
         {
-            let mut sc =
-                Scanner::with_window(input.as_bytes(), MIN_WINDOW, Some(Arc::clone(&budget)));
+            let mut sc = Scanner::from_parts(
+                input.as_bytes(),
+                MIN_WINDOW,
+                Some(Arc::clone(&budget)),
+                ScannerParts::default(),
+            );
             assert_eq!(sc.window_size(), MIN_WINDOW);
             assert_eq!(budget.current(BudgetKind::Window), MIN_WINDOW as u64);
             let mut out = Vec::new();
@@ -652,7 +698,12 @@ mod tests {
     fn tiny_window_long_token_grows_buffer_and_charge() {
         let budget = crate::input::MemoryBudget::new(u64::MAX);
         let tag = format!("<e a=\"{}\"/>", "v".repeat(4096));
-        let mut sc = Scanner::with_window(tag.as_bytes(), MIN_WINDOW, Some(Arc::clone(&budget)));
+        let mut sc = Scanner::from_parts(
+            tag.as_bytes(),
+            MIN_WINDOW,
+            Some(Arc::clone(&budget)),
+            ScannerParts::default(),
+        );
         // Force the whole tag into the window, as probe_tag retries do.
         while sc.fill_more().unwrap() {}
         assert!(sc.window().len() >= tag.len());

@@ -148,6 +148,15 @@ impl DeltaLane {
         self.head = 0;
     }
 
+    /// Returns the lane to its freshly-created state for the next input,
+    /// keeping at most `max_bytes` of its storage.
+    pub fn reset(&mut self, max_bytes: usize) {
+        crate::recycle::reuse(&mut self.deltas, max_bytes);
+        self.head = 0;
+        self.head_base = 0;
+        self.tail_abs = 0;
+    }
+
     /// Number of unconsumed entries (gap markers excluded from positions
     /// but included here; used only by tests and diagnostics).
     pub fn pending(&self) -> usize {
@@ -257,6 +266,16 @@ impl StructuralIndex {
         self.quote.drop_before(bound);
         self.amp.drop_before(bound);
         self.nl.drop_before(bound);
+    }
+
+    /// Returns every lane to its freshly-created state for the next
+    /// input, keeping at most `max_bytes` of storage per lane.
+    pub fn reset(&mut self, max_bytes: usize) {
+        self.lt.reset(max_bytes);
+        self.gt.reset(max_bytes);
+        self.quote.reset(max_bytes);
+        self.amp.reset(max_bytes);
+        self.nl.reset(max_bytes);
     }
 
     /// Releases consumed entries in every lane (called when the scanner

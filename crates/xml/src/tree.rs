@@ -161,6 +161,27 @@ impl Document {
         }
     }
 
+    /// Returns the document to the state [`Document::with_symbols`] built
+    /// it in — only the document node, the name table truncated back to
+    /// its seed, no interned-name bytes, an empty shared-text dictionary —
+    /// so it can hold the next run's buffers. Storage is kept up to
+    /// `max_bytes` per container (see [`crate::recycle`]).
+    pub fn reset(&mut self, max_bytes: usize) {
+        self.nodes.truncate(1);
+        crate::recycle::reuse(&mut self.nodes[0].children, max_bytes);
+        if self.nodes.capacity() * std::mem::size_of::<Node>() > max_bytes {
+            self.nodes.shrink_to_fit();
+        }
+        self.symbols.truncate(self.aligned);
+        self.interned_bytes = 0;
+        crate::recycle::reuse(&mut self.shared_texts, max_bytes);
+        self.shared_lookup.clear();
+        if self.shared_lookup.capacity() * std::mem::size_of::<(String, u32)>() > max_bytes {
+            self.shared_lookup = HashMap::new();
+        }
+        self.shared_bytes = 0;
+    }
+
     /// The document's name table.
     pub fn symbols(&self) -> &SymbolTable {
         &self.symbols
@@ -636,11 +657,16 @@ impl TextGate {
     }
 
     /// Starts a new sighting generation: every counter in the table is
-    /// (lazily) reset. Wrapping after 2^32 bumps can at worst resurrect a
-    /// stale count — the same benign delay/hasten effect as a hash
-    /// collision, never a content change.
+    /// (lazily) reset, because a slot stamped with an older generation is
+    /// stale. When the counter wraps back to 0 after 2^32 bumps the slots
+    /// are re-zeroed eagerly, so a count stamped 2^32 generations ago can
+    /// never pass for a current one: after the wrap the gate admits
+    /// exactly as a fresh gate does.
     pub fn bump_generation(&mut self) {
         self.gen = self.gen.wrapping_add(1);
+        if self.gen == 0 {
+            self.slots.fill((0, 0, 0));
+        }
     }
 
     /// Whether a payload is even a sharing candidate.
@@ -832,6 +858,60 @@ impl TreeBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn gate_after_generation_wrap_admits_like_a_fresh_gate() {
+        let payloads = [
+            "Recurring Author",
+            "Other",
+            "Recurring Author",
+            "Recurring Author",
+            "Other",
+            "Recurring Author",
+            "Recurring Author",
+        ];
+        let mut wrapped = TextGate::new();
+        // Counts stamped with generation 0, which the wrap comes back to.
+        for _ in 0..3 {
+            wrapped.admit("Recurring Author");
+        }
+        wrapped.gen = u32::MAX - 1;
+        wrapped.bump_generation();
+        assert_eq!(wrapped.gen, u32::MAX);
+        for p in payloads {
+            wrapped.admit(p);
+        }
+        wrapped.bump_generation();
+        assert_eq!(wrapped.gen, 0, "the generation wrapped");
+        let mut fresh = TextGate::new();
+        let after_wrap: Vec<bool> = payloads.iter().map(|p| wrapped.admit(p)).collect();
+        let from_fresh: Vec<bool> = payloads.iter().map(|p| fresh.admit(p)).collect();
+        assert_eq!(after_wrap, from_fresh);
+        assert_eq!(wrapped.slots, fresh.slots);
+    }
+
+    #[test]
+    fn reset_returns_to_the_seeded_state() {
+        let mut seed = SymbolTable::new();
+        seed.intern("book");
+        let mut doc = Document::with_symbols(seed.clone());
+        let fresh = Document::with_symbols(seed);
+        let book = doc.create_element("book", vec![Attribute::new("minted", "v")]);
+        doc.append_child(doc.document_node(), book);
+        let idx = doc.intern_shared_text("shared");
+        let t = doc.create_shared_text(idx);
+        doc.append_child(book, t);
+        assert!(doc.memory_bytes() > fresh.memory_bytes());
+        doc.reset(1 << 16);
+        assert_eq!(doc.node_count(), 1);
+        assert!(doc.children(doc.document_node()).is_empty());
+        assert_eq!(doc.symbols().len(), fresh.symbols().len());
+        assert_eq!(doc.symbols().lookup("minted"), None);
+        assert_eq!(doc.shared_text_lookup("shared"), None);
+        assert_eq!(doc.interned_name_bytes(), 0);
+        assert_eq!(doc.shared_text_bytes(), 0);
+        assert_eq!(doc.memory_bytes(), fresh.memory_bytes());
+    }
 
     const BIB: &str = r#"<bib><book year="1994"><title>TCP/IP</title><author>Stevens</author><author>Wright</author></book><book year="2000"><title>Data</title></book></bib>"#;
 

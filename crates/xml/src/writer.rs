@@ -38,22 +38,72 @@ pub struct XmlWriter<W: Write> {
     wrote_declaration: bool,
 }
 
+/// The storage an [`XmlWriter`] recycles across outputs: the open-element
+/// stack's name buffers, the indentation flags and the escape scratch.
+/// Default parts build a fresh writer.
+#[derive(Default)]
+pub struct WriterParts {
+    stack: Vec<String>,
+    spare_names: Vec<String>,
+    had_child: Vec<bool>,
+    scratch: String,
+}
+
 impl<W: Write> XmlWriter<W> {
     pub fn new(sink: W) -> Self {
         Self::with_config(sink, WriterConfig::default())
     }
 
     pub fn with_config(sink: W, config: WriterConfig) -> Self {
+        Self::from_parts(sink, config, WriterParts::default())
+    }
+
+    /// Creates a writer over recycled `parts` (see [`WriterParts`]).
+    pub fn from_parts(sink: W, config: WriterConfig, parts: WriterParts) -> Self {
+        let WriterParts {
+            stack,
+            spare_names,
+            had_child,
+            scratch,
+        } = parts;
         XmlWriter {
             sink,
             config,
-            stack: Vec::new(),
-            spare_names: Vec::new(),
-            had_child: Vec::new(),
+            stack,
+            spare_names,
+            had_child,
             bytes_written: 0,
-            scratch: String::new(),
+            scratch,
             wrote_declaration: false,
         }
+    }
+
+    /// Releases the sink and returns the writer's storage for the next
+    /// output, emptied, with anything past `max_bytes` released (see
+    /// [`crate::recycle`]).
+    pub fn into_parts(self, max_bytes: usize) -> (W, WriterParts) {
+        let XmlWriter {
+            sink,
+            mut stack,
+            mut spare_names,
+            mut had_child,
+            mut scratch,
+            ..
+        } = self;
+        spare_names.append(&mut stack);
+        crate::recycle::trim_pool(&mut spare_names, max_bytes);
+        crate::recycle::reuse(&mut stack, max_bytes);
+        crate::recycle::reuse(&mut had_child, max_bytes);
+        crate::recycle::reuse(&mut scratch, max_bytes);
+        (
+            sink,
+            WriterParts {
+                stack,
+                spare_names,
+                had_child,
+                scratch,
+            },
+        )
     }
 
     /// Number of bytes written so far (after escaping).

@@ -51,6 +51,13 @@ impl CursorPool {
         )
     }
 
+    /// Keeps at most `max_bytes` of pooled scratch per pool (see
+    /// [`flux_xml::recycle`]).
+    pub(crate) fn trim(&mut self, max_bytes: usize) {
+        flux_xml::recycle::trim_pool(&mut self.stacks, max_bytes);
+        flux_xml::recycle::trim_pool(&mut self.syms, max_bytes);
+    }
+
     fn put(&mut self, mut stack: Vec<(NodeId, u32)>, mut syms: Vec<Option<Symbol>>) {
         stack.clear();
         syms.clear();

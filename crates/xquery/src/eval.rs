@@ -220,6 +220,26 @@ impl CursorEvaluator {
         CursorEvaluator::default()
     }
 
+    /// Keeps at most `max_bytes` of scratch per pool, releasing what one
+    /// outsized evaluation grew (see [`flux_xml::recycle`]) — called
+    /// before a long-lived evaluator is pooled for the next run.
+    pub fn trim(&mut self, max_bytes: usize) {
+        use flux_xml::recycle::trim_pool;
+        self.pool.trim(max_bytes);
+        trim_pool(&mut self.strings, max_bytes);
+        for values in [&mut self.cmp_lhs, &mut self.cmp_rhs] {
+            values.clear();
+            trim_pool(&mut values.strings, max_bytes);
+        }
+        let mut total = 0usize;
+        self.attr_bufs.retain_mut(|buf| {
+            buf.clear();
+            trim_pool(&mut buf.attrs, max_bytes);
+            total += buf.attrs.capacity() * std::mem::size_of::<Attribute>();
+            total <= max_bytes
+        });
+    }
+
     /// Evaluates a compiled expression over `doc` under `slots`, emitting
     /// results to `sink`.
     pub fn eval(

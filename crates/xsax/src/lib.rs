@@ -30,4 +30,4 @@ pub mod parser;
 
 pub use error::{Result, XsaxError};
 pub use event::{PastId, PastLabels, XsaxEvent, XsaxStep};
-pub use parser::{seeded_symbols, validate, XsaxConfig, XsaxParser};
+pub use parser::{seeded_reader, seeded_symbols, validate, XsaxConfig, XsaxParser, XsaxParts};

@@ -21,7 +21,10 @@ use crate::error::{Result, XsaxError};
 use crate::event::{PastId, PastLabels, XsaxEvent, XsaxStep};
 use flux_dtd::{AttDefault, Dfa, Dtd, ElementDecl, StateId, Symbol, SymbolTable};
 use flux_telemetry::{RunReport, Stage, XsaxCounters};
-use flux_xml::{EventSource, RawEvent, RawEventKind, RawEventRef, XmlEvent, XmlReader};
+use flux_xml::recycle::{self, relabel};
+use flux_xml::{
+    EventSource, RawEvent, RawEventKind, RawEventRef, ReaderParts, XmlEvent, XmlReader,
+};
 use std::collections::{HashMap, VecDeque};
 use std::io::Read;
 
@@ -133,8 +136,11 @@ pub struct XsaxParser<'d, S: EventSource> {
     /// symbols interned after construction (attribute names, undeclared
     /// element names) fall off the end and resolve to `None`.
     decls: Vec<Option<&'d ElementDecl>>,
-    /// Dense per-symbol attribute plans, same indexing as `decls`.
-    atts: Vec<Vec<AttPlan<'d>>>,
+    /// Every element's pre-resolved attribute plans, back to back.
+    att_plans: Vec<AttPlan<'d>>,
+    /// Per-symbol `(start, end)` run of `att_plans`, same indexing as
+    /// `decls`.
+    att_spans: Vec<(usize, usize)>,
     stack: Vec<OpenElement<'d>>,
     /// Emptied tracker vectors of closed elements, reused by the next
     /// element that has registrations (so their capacity is kept).
@@ -155,6 +161,49 @@ pub struct XsaxParser<'d, S: EventSource> {
     tel: XsaxCounters,
 }
 
+/// The storage an [`XsaxParser`] recycles across runs: its past-query
+/// registrations, the dense declaration and attribute tables, the element
+/// stack, spare tracker vectors and the delivery queue. Registrations ride
+/// along because they belong to one plan: parts taken from a parser must
+/// only be handed to a parser for the same plan (the runtime keeps one
+/// pool of parts per compiled engine). Default parts build a fresh parser.
+///
+/// Tables that borrow the DTD are kept as empty allocations only (see
+/// [`flux_xml::recycle::relabel`]) and are refilled from the DTD by
+/// [`XsaxParser::from_parts`].
+#[derive(Default)]
+pub struct XsaxParts {
+    registrations: Vec<Registration>,
+    by_element: HashMap<Symbol, Vec<PastId>>,
+    decls: Vec<Option<&'static ElementDecl>>,
+    att_plans: Vec<AttPlan<'static>>,
+    att_spans: Vec<(usize, usize)>,
+    stack: Vec<OpenElement<'static>>,
+    spare_trackers: Vec<Vec<Tracker>>,
+    pending: VecDeque<Pending>,
+    injected: Vec<(Symbol, &'static str)>,
+}
+
+/// The sequential reader [`XsaxParser`] validates, seeded for `dtd` with
+/// [`seeded_symbols`] and configured from `config`'s ingestion knobs
+/// (interner cap, window, budget). `parts` are a previous reader's
+/// recycled storage over the same schema, or `None` to seed a fresh one.
+pub fn seeded_reader<R: Read>(
+    src: R,
+    dtd: &Dtd,
+    config: &XsaxConfig,
+    parts: Option<ReaderParts>,
+) -> XmlReader<R> {
+    let reader_config = flux_xml::ReaderConfig {
+        max_symbols: config.max_symbols,
+        window: config.window,
+        budget: config.budget.clone(),
+        ..Default::default()
+    };
+    let parts = parts.unwrap_or_else(|| ReaderParts::new(seeded_symbols(dtd)));
+    XmlReader::from_parts(src, reader_config, parts)
+}
+
 impl<'d, R: Read> XsaxParser<'d, XmlReader<R>> {
     /// Creates a parser over `src` validating against `dtd`.
     ///
@@ -168,13 +217,7 @@ impl<'d, R: Read> XsaxParser<'d, XmlReader<R>> {
         // Seed the reader's interner with the DTD's table (plus attlist
         // names): clones preserve indices, so stream symbols coincide with
         // schema symbols and attribute validation is symbol equality too.
-        let reader_config = flux_xml::ReaderConfig {
-            max_symbols: config.max_symbols,
-            window: config.window,
-            budget: config.budget.clone(),
-            ..Default::default()
-        };
-        let reader = XmlReader::with_symbols(src, reader_config, seeded_symbols(dtd));
+        let reader = seeded_reader(src, dtd, &config, None);
         Self::from_source(reader, dtd, config)
     }
 }
@@ -186,14 +229,29 @@ impl<'d, S: EventSource> XsaxParser<'d, S> {
     /// `ShardedReader` plugs in: its shards parse in parallel, and this
     /// parser threads the DFA configuration across their seams.
     pub fn from_source(source: S, dtd: &'d Dtd, config: XsaxConfig) -> Result<Self> {
+        Self::from_parts(source, dtd, config, XsaxParts::default())
+    }
+
+    /// [`XsaxParser::from_source`] over recycled `parts` (see
+    /// [`XsaxParts`]): the dense tables are refilled from `dtd` into the
+    /// recycled allocations, and the parts' registrations are armed again.
+    pub fn from_parts(
+        source: S,
+        dtd: &'d Dtd,
+        config: XsaxConfig,
+        parts: XsaxParts,
+    ) -> Result<Self> {
         if dtd.content_dfa(SymbolTable::DOCUMENT).is_none() {
             return Err(XsaxError::Config {
                 message: "the DTD has no unambiguous root element".to_string(),
             });
         }
         let symbols = source.symbols();
-        let mut decls: Vec<Option<&'d ElementDecl>> = vec![None; dtd.symbols().len()];
-        let mut atts: Vec<Vec<AttPlan<'d>>> = Vec::new();
+        let mut decls: Vec<Option<&'d ElementDecl>> = relabel(parts.decls);
+        decls.resize(dtd.symbols().len(), None);
+        let mut att_plans: Vec<AttPlan<'d>> = relabel(parts.att_plans);
+        let mut att_spans = parts.att_spans;
+        att_spans.clear();
         for decl in dtd.elements() {
             decls[decl.name.index()] = Some(decl);
             // Guard against unseeded sources: the dense tables below index
@@ -210,48 +268,86 @@ impl<'d, S: EventSource> XsaxParser<'d, S> {
             }
         }
         for decl in dtd.elements() {
-            let plans: Result<Vec<AttPlan<'d>>> = decl
-                .attlist
-                .iter()
-                .map(|def| {
-                    Ok(AttPlan {
-                        name: symbols.lookup(&def.name).ok_or_else(|| XsaxError::Config {
-                            message: format!(
-                                "event source symbols not seeded with attribute `{}` \
-                                 (seed the source with flux_xsax::seeded_symbols)",
-                                def.name
-                            ),
-                        })?,
-                        required: matches!(def.default, AttDefault::Required),
-                        default: match &def.default {
-                            AttDefault::Default(v) | AttDefault::Fixed(v) => Some(v.as_str()),
-                            _ => None,
-                        },
-                    })
-                })
-                .collect();
-            if atts.len() <= decl.name.index() {
-                atts.resize_with(decl.name.index() + 1, Vec::new);
+            let start = att_plans.len();
+            for def in &decl.attlist {
+                att_plans.push(AttPlan {
+                    name: symbols.lookup(&def.name).ok_or_else(|| XsaxError::Config {
+                        message: format!(
+                            "event source symbols not seeded with attribute `{}` \
+                             (seed the source with flux_xsax::seeded_symbols)",
+                            def.name
+                        ),
+                    })?,
+                    required: matches!(def.default, AttDefault::Required),
+                    default: match &def.default {
+                        AttDefault::Default(v) | AttDefault::Fixed(v) => Some(v.as_str()),
+                        _ => None,
+                    },
+                });
             }
-            atts[decl.name.index()] = plans?;
+            if att_spans.len() <= decl.name.index() {
+                att_spans.resize(decl.name.index() + 1, (0, 0));
+            }
+            att_spans[decl.name.index()] = (start, att_plans.len());
         }
         Ok(XsaxParser {
             source,
             dtd,
             config,
-            registrations: Vec::new(),
-            by_element: HashMap::new(),
+            registrations: parts.registrations,
+            by_element: parts.by_element,
             decls,
-            atts,
-            stack: Vec::new(),
-            spare_trackers: Vec::new(),
-            pending: VecDeque::new(),
-            injected: Vec::new(),
+            att_plans,
+            att_spans,
+            stack: relabel(parts.stack),
+            spare_trackers: parts.spare_trackers,
+            pending: parts.pending,
+            injected: relabel(parts.injected),
             compat: RawEvent::new(),
             started: false,
             finished: false,
             tel: XsaxCounters::default(),
         })
+    }
+
+    /// Ends this run and returns the source plus the parser's storage for
+    /// the next run over the same plan, emptied, with anything the input
+    /// grew past the configured window released (see
+    /// [`flux_xml::recycle`]). Registrations are kept.
+    pub fn into_parts(self) -> (S, XsaxParts) {
+        let max_bytes = self.config.window;
+        let XsaxParser {
+            source,
+            registrations,
+            by_element,
+            decls,
+            att_plans,
+            att_spans,
+            stack,
+            mut spare_trackers,
+            mut pending,
+            injected,
+            ..
+        } = self;
+        let mut stack = relabel(stack);
+        recycle::reuse(&mut stack, max_bytes);
+        recycle::trim_pool(&mut spare_trackers, max_bytes);
+        pending.clear();
+        if pending.capacity() * std::mem::size_of::<Pending>() > max_bytes {
+            pending = VecDeque::new();
+        }
+        let parts = XsaxParts {
+            registrations,
+            by_element,
+            decls: relabel(decls),
+            att_plans: relabel(att_plans),
+            att_spans,
+            stack,
+            spare_trackers,
+            pending,
+            injected: relabel(injected),
+        };
+        (source, parts)
     }
 
     /// Registers a past query: fire once per `element` instance as soon as
@@ -653,7 +749,10 @@ impl<'d, S: EventSource> XsaxParser<'d, S> {
     /// string hashing, and no event materialisation.
     fn validate_attributes(&mut self, sym: Symbol) -> Result<()> {
         let v = self.source.view();
-        let plans = self.atts.get(sym.index()).map(Vec::as_slice).unwrap_or(&[]);
+        let plans = match self.att_spans.get(sym.index()) {
+            Some(&(start, end)) => &self.att_plans[start..end],
+            None => &[],
+        };
         if self.config.strict_attributes {
             for attr in v.attrs() {
                 if !plans.iter().any(|d| d.name == attr.name) {

@@ -18,11 +18,11 @@
 use crate::error::Result;
 use flux_runtime::RunStats;
 use flux_xml::tree::{Document, TreeBuilder};
-use flux_xml::{RawEvent, ReaderConfig, SymbolTable, XmlReader, XmlWriter};
+use flux_xml::{Input, RawEvent, ReaderConfig, SymbolTable, XmlReader, XmlWriter};
 use flux_xquery::{
     compile_expr, normalize, parse_query, CompiledExpr, CursorEvaluator, SlotMap, ROOT_VAR,
 };
-use std::io::{Read, Write};
+use std::io::Write;
 use std::time::Instant;
 
 /// Compiled DOM-baseline query.
@@ -57,39 +57,25 @@ impl DomEngine {
         })
     }
 
-    /// Loads the whole document, then evaluates. Parsing runs on the
-    /// recycled interned-event path; materialising the tree is the only
-    /// per-event allocation left — which is this engine's defining cost.
-    pub fn run<R: Read, W: Write>(&self, input: R, output: W) -> Result<RunStats> {
-        self.run_with_config(input, output, ReaderConfig::default())
-    }
-
-    /// Runs over a unified [`Input`](flux_xml::Input): resolves the source
-    /// (path, gzip, stream or buffer), threads its window and budget into
-    /// the reader, and enforces the budget post-run. The base `config`
-    /// carries knobs the input does not own (e.g. the interner bound).
-    pub fn run_input<W: Write>(
-        &self,
-        input: flux_xml::Input,
-        output: W,
-        config: ReaderConfig,
-    ) -> Result<RunStats> {
-        let (reader, config, budget) = crate::resolve_input(input, config)?;
-        let stats = self.run_with_config(reader, output, config)?;
-        crate::enforce_budget(budget, stats.peak_buffer_bytes)?;
-        Ok(stats)
-    }
-
-    /// [`DomEngine::run`] with an explicit reader configuration (e.g.
+    /// Loads the whole document from a unified [`Input`] (path, gzip,
+    /// stream or buffer), then evaluates. The input's window and budget are
+    /// threaded into the reader and the budget is enforced post-run; the
+    /// base `config` carries knobs the input does not own (e.g.
     /// [`ReaderConfig::max_symbols`] for bounded-interner streams — the
     /// tree imports overflowed names through their literal side channel,
     /// so the cap bounds reader memory without changing the document).
-    pub fn run_with_config<R: Read, W: Write>(
+    ///
+    /// Parsing runs on the recycled interned-event path; materialising the
+    /// tree is the only per-event allocation left — which is this engine's
+    /// defining cost.
+    pub fn run_input<W: Write>(
         &self,
-        input: R,
+        input: Input,
         output: W,
         config: ReaderConfig,
     ) -> Result<RunStats> {
+        let (input, config) = crate::resolve_input(input, config)?;
+        let budget = config.budget.clone();
         let start = Instant::now();
         let mut reader = XmlReader::with_symbols(input, config, self.symbols.clone());
         let mut builder = TreeBuilder::with_symbols(self.symbols.clone()).with_shared_text();
@@ -110,14 +96,18 @@ impl DomEngine {
         evaluator.eval(&doc, &self.compiled, &mut slots, &mut writer)?;
         writer.finish()?;
 
-        Ok(RunStats {
+        let stats = RunStats {
             peak_buffer_bytes: peak,
             peak_buffer_nodes: nodes,
             total_buffered_bytes: peak as u64,
             output_bytes: writer.bytes_written(),
             events,
             duration: start.elapsed(),
-        })
+        };
+        if let Some(budget) = budget {
+            budget.check_run(peak)?;
+        }
+        Ok(stats)
     }
 }
 
@@ -127,6 +117,10 @@ mod tests {
 
     const DOC: &str = "<bib><book><title>T1</title><author>A1</author></book><book><title>T2</title></book></bib>";
 
+    fn run(engine: &DomEngine, doc: &str, out: &mut Vec<u8>) -> Result<RunStats> {
+        engine.run_input(Input::from_bytes(doc), out, ReaderConfig::default())
+    }
+
     #[test]
     fn evaluates_q3() {
         let engine = DomEngine::compile(
@@ -134,7 +128,7 @@ mod tests {
         )
         .unwrap();
         let mut out = Vec::new();
-        let stats = engine.run(DOC.as_bytes(), &mut out).unwrap();
+        let stats = run(&engine, DOC, &mut out).unwrap();
         assert_eq!(
             String::from_utf8(out).unwrap(),
             "<results><result><title>T1</title><author>A1</author></result><result><title>T2</title></result></results>"
@@ -158,9 +152,9 @@ mod tests {
         }
         big.push_str("</bib>");
         let mut sink = Vec::new();
-        let s1 = engine.run(small.as_bytes(), &mut sink).unwrap();
+        let s1 = run(&engine, &small, &mut sink).unwrap();
         sink.clear();
-        let s2 = engine.run(big.as_bytes(), &mut sink).unwrap();
+        let s2 = run(&engine, &big, &mut sink).unwrap();
         assert!(
             s2.peak_buffer_bytes > s1.peak_buffer_bytes * 10,
             "DOM memory tracks document size: {} vs {}",
@@ -179,7 +173,7 @@ mod tests {
         let body = "<book><title>T</title><author>Stevens, W. Richard</author></book>".repeat(100);
         let shared = format!("<bib>{body}</bib>");
         let mut sink = Vec::new();
-        let s = engine.run(shared.as_bytes(), &mut sink).unwrap();
+        let s = run(&engine, &shared, &mut sink).unwrap();
         let mut distinct = String::from("<bib>");
         for i in 0..100 {
             distinct.push_str(&format!(
@@ -188,7 +182,7 @@ mod tests {
         }
         distinct.push_str("</bib>");
         sink.clear();
-        let d = engine.run(distinct.as_bytes(), &mut sink).unwrap();
+        let d = run(&engine, &distinct, &mut sink).unwrap();
         assert!(
             s.peak_buffer_bytes + 1000 < d.peak_buffer_bytes,
             "shared {} must undercut distinct {}",

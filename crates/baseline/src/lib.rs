@@ -20,40 +20,19 @@ pub use dom::DomEngine;
 pub use error::{BaselineError, Result};
 pub use projection::ProjectionEngine;
 
-use flux_xml::{Input, MemoryBudget, ReaderConfig, XmlError};
+use flux_xml::{Input, ReaderConfig, XmlError};
 use std::io::Read;
-use std::sync::Arc;
-
-/// What [`resolve_input`] hands back: the opened byte source, the reader
-/// configuration with the input's window and budget threaded in, and the
-/// budget itself for post-run enforcement.
-pub(crate) type ResolvedSource = (
-    Box<dyn Read + Send>,
-    ReaderConfig,
-    Option<Arc<MemoryBudget>>,
-);
 
 /// Resolves a unified [`Input`] for a baseline run: opens the source
-/// (path/gzip/stream), threads the input's window and budget into `config`
-/// and hands back the budget so the caller can fold in the run's buffer
-/// peak and enforce the limit post-run.
-pub(crate) fn resolve_input(input: Input, mut config: ReaderConfig) -> Result<ResolvedSource> {
+/// (path/gzip/stream) and threads the input's window and budget into
+/// `config`. The caller enforces that budget post-run
+/// ([`MemoryBudget::check_run`](flux_xml::MemoryBudget::check_run)).
+pub(crate) fn resolve_input(
+    input: Input,
+    mut config: ReaderConfig,
+) -> Result<(Box<dyn Read + Send>, ReaderConfig)> {
     config.window = input.window_bytes();
-    let budget = input.memory_budget().cloned();
-    config.budget = budget.clone();
+    config.budget = input.memory_budget().cloned();
     let reader = input.into_source().map_err(XmlError::from)?.into_reader();
-    Ok((reader, config, budget))
-}
-
-/// Post-run budget enforcement shared by both baselines: fold the
-/// evaluator's buffer peak into the budget, then check the limit.
-pub(crate) fn enforce_budget(
-    budget: Option<Arc<MemoryBudget>>,
-    peak_buffer_bytes: usize,
-) -> Result<()> {
-    if let Some(b) = budget {
-        b.record_peak(flux_xml::BudgetKind::Buffer, peak_buffer_bytes as u64);
-        b.check()?;
-    }
-    Ok(())
+    Ok((reader, config))
 }

@@ -13,11 +13,13 @@ use crate::error::Result;
 use flux_runtime::bdf::{collect_needs, SpecArena, SpecView};
 use flux_runtime::RunStats;
 use flux_xml::tree::{Document, NodeId};
-use flux_xml::{RawEvent, RawEventKind, ReaderConfig, SymbolTable, TextGate, XmlReader, XmlWriter};
+use flux_xml::{
+    Input, RawEvent, RawEventKind, ReaderConfig, SymbolTable, TextGate, XmlReader, XmlWriter,
+};
 use flux_xquery::{
     compile_expr, normalize, parse_query, CompiledExpr, CursorEvaluator, SlotMap, ROOT_VAR,
 };
-use std::io::{Read, Write};
+use std::io::Write;
 use std::time::Instant;
 
 /// Compiled projection-baseline query.
@@ -70,42 +72,26 @@ impl ProjectionEngine {
         self.specs.render(self.root_spec)
     }
 
-    /// Streams the input, materialising only projected nodes, then
-    /// evaluates over the projected document.
-    pub fn run<R: Read, W: Write>(&self, input: R, output: W) -> Result<RunStats> {
-        self.run_with_config(input, output, ReaderConfig::default())
-    }
-
-    /// Runs over a unified [`Input`](flux_xml::Input): resolves the source
-    /// (path, gzip, stream or buffer), threads its window and budget into
-    /// the reader, and enforces the budget post-run. The base `config`
-    /// carries knobs the input does not own (e.g. the interner bound).
-    pub fn run_input<W: Write>(
-        &self,
-        input: flux_xml::Input,
-        output: W,
-        config: ReaderConfig,
-    ) -> Result<RunStats> {
-        let (reader, config, budget) = crate::resolve_input(input, config)?;
-        let stats = self.run_with_config(reader, output, config)?;
-        crate::enforce_budget(budget, stats.peak_buffer_bytes)?;
-        Ok(stats)
-    }
-
-    /// [`ProjectionEngine::run`] with an explicit reader configuration
-    /// (e.g. [`ReaderConfig::max_symbols`] for bounded-interner streams).
+    /// Streams a unified [`Input`] (path, gzip, stream or buffer),
+    /// materialising only projected nodes, then evaluates over the
+    /// projected document. The input's window and budget are threaded into
+    /// the reader and the budget is enforced post-run; the base `config`
+    /// carries knobs the input does not own (e.g.
+    /// [`ReaderConfig::max_symbols`] for bounded-interner streams).
     ///
     /// The stream runs on the recycled interned-event path: the projection
     /// labels were interned at compile time and the reader is seeded with
     /// them, so descent is symbol equality — with a literal-spelling
     /// fallback for names a bounded interner declined to intern, which
     /// therefore never changes what is projected.
-    pub fn run_with_config<R: Read, W: Write>(
+    pub fn run_input<W: Write>(
         &self,
-        input: R,
+        input: Input,
         output: W,
         config: ReaderConfig,
     ) -> Result<RunStats> {
+        let (input, config) = crate::resolve_input(input, config)?;
+        let budget = config.budget.clone();
         let start = Instant::now();
         // Seed the reader with the compile-time label table: any document
         // name matching a label resolves to the symbol the spec edges are
@@ -168,14 +154,18 @@ impl ProjectionEngine {
         evaluator.eval(&doc, &self.compiled, &mut slots, &mut writer)?;
         writer.finish()?;
 
-        Ok(RunStats {
+        let stats = RunStats {
             peak_buffer_bytes: peak,
             peak_buffer_nodes: nodes,
             total_buffered_bytes: peak as u64,
             output_bytes: writer.bytes_written(),
             events,
             duration: start.elapsed(),
-        })
+        };
+        if let Some(budget) = budget {
+            budget.check_run(peak)?;
+        }
+        Ok(stats)
     }
 }
 
@@ -198,6 +188,14 @@ mod tests {
         s
     }
 
+    fn run(projection: &ProjectionEngine, doc: &str, out: &mut Vec<u8>) -> Result<RunStats> {
+        projection.run_input(Input::from_bytes(doc), out, ReaderConfig::default())
+    }
+
+    fn run_dom(dom: &DomEngine, doc: &str, out: &mut Vec<u8>) -> Result<RunStats> {
+        dom.run_input(Input::from_bytes(doc), out, ReaderConfig::default())
+    }
+
     #[test]
     fn same_answers_as_dom() {
         let doc = doc_with_publishers(5);
@@ -205,8 +203,8 @@ mod tests {
         let dom = DomEngine::compile(Q3).unwrap();
         let mut out1 = Vec::new();
         let mut out2 = Vec::new();
-        projection.run(doc.as_bytes(), &mut out1).unwrap();
-        dom.run(doc.as_bytes(), &mut out2).unwrap();
+        run(&projection, &doc, &mut out1).unwrap();
+        run_dom(&dom, &doc, &mut out2).unwrap();
         assert_eq!(out1, out2);
     }
 
@@ -218,9 +216,9 @@ mod tests {
         let projection = ProjectionEngine::compile(Q3).unwrap();
         let dom = DomEngine::compile(Q3).unwrap();
         let mut sink = Vec::new();
-        let p = projection.run(doc.as_bytes(), &mut sink).unwrap();
+        let p = run(&projection, &doc, &mut sink).unwrap();
         sink.clear();
-        let d = dom.run(doc.as_bytes(), &mut sink).unwrap();
+        let d = run_dom(&dom, &doc, &mut sink).unwrap();
         assert!(
             p.peak_buffer_bytes * 3 < d.peak_buffer_bytes,
             "projection {} must be well below DOM {}",
@@ -235,13 +233,9 @@ mod tests {
         // grows with the number of books.
         let projection = ProjectionEngine::compile(Q3).unwrap();
         let mut sink = Vec::new();
-        let small = projection
-            .run(doc_with_publishers(5).as_bytes(), &mut sink)
-            .unwrap();
+        let small = run(&projection, &doc_with_publishers(5), &mut sink).unwrap();
         sink.clear();
-        let large = projection
-            .run(doc_with_publishers(100).as_bytes(), &mut sink)
-            .unwrap();
+        let large = run(&projection, &doc_with_publishers(100), &mut sink).unwrap();
         assert!(
             large.peak_buffer_bytes > small.peak_buffer_bytes * 10,
             "{} vs {}",

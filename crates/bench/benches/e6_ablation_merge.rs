@@ -16,7 +16,7 @@ fn ablation_merge(c: &mut Criterion) {
     group.throughput(Throughput::Bytes(doc.len() as u64));
     for (label, options) in [
         ("optimized", Options::default()),
-        ("unoptimized", Options::without_algebraic_optimizer()),
+        ("unoptimized", Options::new().algebraic_optimizer(false)),
     ] {
         let engine = FluxEngine::compile(QUERY, Domain::BibFig1.dtd(), &options).expect("compile");
         group.bench_with_input(BenchmarkId::new(label, "fig1"), &doc, |b, doc| {

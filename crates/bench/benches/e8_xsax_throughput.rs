@@ -29,8 +29,7 @@ fn xsax_throughput(c: &mut Criterion) {
         b.iter(|| {
             let mut n = 0u64;
             let mut parser = XsaxParser::new(doc.as_bytes(), &dtd).expect("xsax");
-            let mut ev = RawEvent::new();
-            while parser.next_into(&mut ev).expect("validate").is_some() {
+            while parser.next_step().expect("validate").is_some() {
                 n += 1;
             }
             n
@@ -47,8 +46,7 @@ fn xsax_throughput(c: &mut Criterion) {
             parser
                 .register_past(book, PastLabels::labels([title, author]))
                 .expect("register");
-            let mut ev = RawEvent::new();
-            while parser.next_into(&mut ev).expect("validate").is_some() {
+            while parser.next_step().expect("validate").is_some() {
                 n += 1;
             }
             n

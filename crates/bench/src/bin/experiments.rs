@@ -213,7 +213,7 @@ fn e6_ablation_merge() {
     let doc = Domain::BibFig1.document(8.0, 42);
     for (label, options) in [
         ("optimizer on ", Options::default()),
-        ("optimizer off", Options::without_algebraic_optimizer()),
+        ("optimizer off", Options::new().algebraic_optimizer(false)),
     ] {
         let engine = FluxEngine::compile(q, Domain::BibFig1.dtd(), &options).expect("compile");
         let start = Instant::now();
@@ -242,7 +242,7 @@ fn e7_ablation_unsat() {
     let doc = Domain::BibFig1.document(8.0, 42);
     for (label, options) in [
         ("optimizer on ", Options::default()),
-        ("optimizer off", Options::without_algebraic_optimizer()),
+        ("optimizer off", Options::new().algebraic_optimizer(false)),
     ] {
         let engine = FluxEngine::compile(q, Domain::BibFig1.dtd(), &options).expect("compile");
         let start = Instant::now();
@@ -278,7 +278,7 @@ fn e9_ablation_scheduling() {
         let doc = domain.document(8.0, 42);
         for (config, options) in [
             ("scheduled", Options::default()),
-            ("buffer-everything", Options::without_streaming()),
+            ("buffer-everything", Options::new().streaming(false)),
         ] {
             let engine = FluxEngine::compile(Q3, domain.dtd(), &options).expect("compile");
             let start = Instant::now();
@@ -661,7 +661,7 @@ fn write_bench_events_json(
     // prescan counters, buffer residency). A build without `--features
     // telemetry` still embeds the structure, flagged `"telemetry": false`.
     let run_report = {
-        let engine = FluxEngine::compile(Q3, Domain::BibWeak.dtd(), &Options::with_shards(2))
+        let engine = FluxEngine::compile(Q3, Domain::BibWeak.dtd(), &Options::new().shards(2))
             .expect("compile");
         let mut sink = Vec::new();
         let (_, report) = engine

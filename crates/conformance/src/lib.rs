@@ -149,7 +149,7 @@ pub fn stats_fingerprint(stats: &RunStats) -> (usize, usize, u64, u64, u64) {
 
 fn options(parallelism: Parallelism, cap: Option<usize>) -> Options {
     let mut o = match cap {
-        Some(cap) => Options::with_max_symbols(cap),
+        Some(cap) => Options::new().max_symbols(cap),
         None => Options::new(),
     };
     o.parallelism = parallelism;

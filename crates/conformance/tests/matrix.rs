@@ -85,7 +85,7 @@ fn warm_runs_spell_minted_names_from_their_own_document() {
             .unwrap();
         String::from_utf8(out).unwrap()
     };
-    for options in [Options::new(), Options::with_max_symbols(TINY_CAP)] {
+    for options in [Options::new(), Options::new().max_symbols(TINY_CAP)] {
         let engine = options.compile(EngineKind::Flux, query, dtd).unwrap();
         assert_eq!(run(&engine, first), r#"<r><book ab="1"></book></r>"#);
         for _ in 0..2 {

@@ -7,10 +7,10 @@ use flux_dtd::Dtd;
 use flux_lang::{compile as compile_flux, CompileOptions, FluxQuery, OptimizerConfig};
 use flux_runtime::{compile_plan, Plan, RunReport, RunScratch, RunStats};
 use flux_shard::{ShardConfig, ShardedReader};
-use flux_xml::{BudgetKind, Input, MemoryBudget, ResolvedInput};
+use flux_xml::{Input, ResolvedInput};
 use flux_xsax::XsaxConfig;
-use std::io::{Read, Write};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::io::Write;
+use std::sync::{Mutex, PoisonError};
 
 /// How the engine parses its input stream.
 ///
@@ -149,40 +149,6 @@ impl Options {
         }
     }
 
-    /// Options with streaming disabled (the scheduling ablation).
-    pub fn without_streaming() -> Options {
-        Options {
-            disable_streaming: true,
-            ..Options::default()
-        }
-    }
-
-    /// Options parsing the input with `shards` parallel shards.
-    pub fn with_shards(shards: usize) -> Options {
-        Options {
-            parallelism: Parallelism::Shards(shards),
-            ..Options::default()
-        }
-    }
-
-    /// Options with the algebraic optimizer disabled (for ablations).
-    pub fn without_algebraic_optimizer() -> Options {
-        Options {
-            optimizer: OptimizerConfig::disabled(),
-            ..Options::default()
-        }
-    }
-
-    /// Options capping the stream interner at `cap` distinct names
-    /// (bounded-interner mode; see `ReaderConfig::max_symbols`). Past the
-    /// cap, names travel by literal spelling — memory stops growing and
-    /// query results are unchanged.
-    pub fn with_max_symbols(cap: usize) -> Options {
-        let mut options = Options::default();
-        options.xsax.max_symbols = Some(cap);
-        options
-    }
-
     /// The reader configuration the baseline engines should stream with,
     /// mirroring the validating pipeline's interner bound.
     fn reader_config(&self) -> flux_xml::ReaderConfig {
@@ -261,22 +227,14 @@ impl FluxEngine {
         })
     }
 
-    /// Runs the query over `input`, streaming results to `output`.
-    /// Equivalent to [`run_input`](Self::run_input) over
-    /// [`Input::from_reader`]; prefer `run_input` when the source is a
-    /// file, a buffer, or needs ingestion knobs (window, gzip, budget).
-    pub fn run<R: Read + Send + 'static, W: Write>(&self, input: R, output: W) -> Result<RunStats> {
-        self.run_input(Input::from_reader(input), output)
-    }
-
     /// Runs the query over a unified [`Input`], streaming results to
     /// `output`.
     ///
-    /// The input's window and [`MemoryBudget`] are threaded into the
-    /// pipeline, and the budget (if any) is enforced after the run: the
-    /// run fails with a budget error if the tracked peak — scanner
-    /// windows, in-flight shard tapes and chunks, runtime buffers —
-    /// exceeded the limit. With [`Parallelism::Shards`], an in-memory
+    /// The input's window and [`MemoryBudget`](flux_xml::MemoryBudget) are
+    /// threaded into the pipeline, and the budget (if any) is enforced
+    /// after the run: the run fails with a budget error if the tracked
+    /// peak — scanner windows, in-flight shard tapes and chunks, runtime
+    /// buffers — exceeded the limit. With [`Parallelism::Shards`], an in-memory
     /// input takes the zero-copy buffered shard path while a reader is
     /// dispatched incrementally and never materialised.
     pub fn run_input<W: Write>(&self, input: Input, output: W) -> Result<RunStats> {
@@ -315,7 +273,11 @@ impl FluxEngine {
                 scratch.execute_source(&self.plan, &self.dtd, source, output, xsax, want_report)?
             }
         };
-        enforce_budget(budget, &stats)?;
+        if let Some(budget) = budget {
+            budget
+                .check_run(stats.peak_buffer_bytes)
+                .map_err(flux_runtime::RuntimeError::from)?;
+        }
         self.pool().push(scratch);
         Ok((stats, report))
     }
@@ -401,17 +363,6 @@ fn resolve(input: Input) -> Result<ResolvedInput> {
         .map_err(|e| flux_runtime::RuntimeError::from(flux_xsax::XsaxError::Xml(e.into())).into())
 }
 
-/// Post-run budget enforcement: folds the evaluator's buffer peak into the
-/// budget the pipeline charged its windows/tapes/chunks against, then
-/// fails the run if the tracked peak exceeded the limit.
-fn enforce_budget(budget: Option<Arc<MemoryBudget>>, stats: &RunStats) -> Result<()> {
-    if let Some(b) = budget {
-        b.record_peak(BudgetKind::Buffer, stats.peak_buffer_bytes as u64);
-        b.check().map_err(flux_runtime::RuntimeError::from)?;
-    }
-    Ok(())
-}
-
 /// Which engine architecture to use (for the experiment harness).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EngineKind {
@@ -457,12 +408,6 @@ impl AnyEngine {
         Options::new().compile(kind, query, dtd_text)
     }
 
-    /// Runs over a byte stream. Equivalent to
-    /// [`run_input`](Self::run_input) over [`Input::from_reader`].
-    pub fn run<R: Read + Send + 'static, W: Write>(&self, input: R, output: W) -> Result<RunStats> {
-        self.run_input(Input::from_reader(input), output)
-    }
-
     /// Runs over a unified [`Input`] — the one execution entry point every
     /// architecture shares. The input's window and budget apply to all
     /// three engines; gzip sources are decompressed transparently.
@@ -479,6 +424,8 @@ impl AnyEngine {
 mod tests {
     use super::*;
     use flux_dtd::{PAPER_FIG1_DTD, PAPER_WEAK_DTD};
+    use flux_xml::MemoryBudget;
+    use std::sync::Arc;
 
     const Q3: &str = r#"<results>{ for $b in $ROOT/bib/book return <result>{$b/title}{$b/author}</result> }</results>"#;
 
@@ -528,7 +475,9 @@ mod tests {
         for kind in EngineKind::all() {
             let engine = AnyEngine::compile(kind, Q3, PAPER_WEAK_DTD).unwrap();
             let mut out = Vec::new();
-            engine.run(doc.as_bytes(), &mut out).unwrap();
+            engine
+                .run_input(Input::from_reader(doc.as_bytes()), &mut out)
+                .unwrap();
             outputs.push((kind.label(), String::from_utf8(out).unwrap()));
         }
         let first = outputs[0].1.clone();
@@ -630,7 +579,7 @@ mod tests {
         let (seq_out, seq_stats) = sequential.run_to_string(&doc).unwrap();
         for shards in [1, 2, 4] {
             let engine =
-                FluxEngine::compile(Q3, PAPER_WEAK_DTD, &Options::with_shards(shards)).unwrap();
+                FluxEngine::compile(Q3, PAPER_WEAK_DTD, &Options::new().shards(shards)).unwrap();
             let (out, stats) = engine.run_to_string(&doc).unwrap();
             assert_eq!(out, seq_out, "{shards} shards diverged");
             assert_eq!(
@@ -649,7 +598,7 @@ mod tests {
             ));
         }
         doc.push_str("</bib>");
-        for options in [Options::new(), Options::with_shards(2)] {
+        for options in [Options::new(), Options::new().shards(2)] {
             let engine = FluxEngine::compile(Q3, PAPER_WEAK_DTD, &options).unwrap();
             let mut out = Vec::new();
             let (stats, report) = engine
@@ -764,7 +713,7 @@ mod tests {
 
     #[test]
     fn sharded_run_rejects_invalid_documents() {
-        let engine = FluxEngine::compile(Q3, PAPER_FIG1_DTD, &Options::with_shards(4)).unwrap();
+        let engine = FluxEngine::compile(Q3, PAPER_FIG1_DTD, &Options::new().shards(4)).unwrap();
         // Wrong child order under the Fig. 1 DTD: validation must still
         // fail with sharded parsing.
         let doc = "<bib><book><author>A</author><title>T</title><publisher>P</publisher><price>9</price></book></bib>";

@@ -5,7 +5,7 @@
 //! against the two baseline architectures from the paper's evaluation.
 //!
 //! ```
-//! use fluxquery_core::{FluxEngine, Options};
+//! use fluxquery_core::{FluxEngine, Input, Options};
 //!
 //! let dtd = "<!ELEMENT bib (book)*>
 //!            <!ELEMENT book (title|author)*>
@@ -15,9 +15,8 @@
 //!                  <result>{$b/title}{$b/author}</result> }</results>"#;
 //! let engine = FluxEngine::compile(query, dtd, &Options::default()).unwrap();
 //! let mut out = Vec::new();
-//! let stats = engine
-//!     .run("<bib><book><author>A</author><title>T</title></book></bib>".as_bytes(), &mut out)
-//!     .unwrap();
+//! let doc = "<bib><book><author>A</author><title>T</title></book></bib>";
+//! let stats = engine.run_input(Input::from_bytes(doc), &mut out).unwrap();
 //! assert_eq!(
 //!     String::from_utf8(out).unwrap(),
 //!     "<results><result><title>T</title><author>A</author></result></results>"

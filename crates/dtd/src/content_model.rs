@@ -1,6 +1,6 @@
 //! Content models: the right-hand sides of `<!ELEMENT ...>` declarations.
 
-use crate::symbol::{Symbol, SymbolTable};
+use flux_symbols::{Symbol, SymbolTable};
 use std::fmt;
 
 /// A regular expression over child element names ("content particle" in the

@@ -2,7 +2,7 @@
 //! product-construction analyses from which all schema constraints derive.
 
 use crate::glushkov::Glushkov;
-use crate::symbol::Symbol;
+use flux_symbols::Symbol;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// Index of a DFA state. The start state is always `0`.
@@ -329,7 +329,7 @@ mod tests {
     use super::*;
     use crate::content_model::Particle;
     use crate::glushkov::glushkov;
-    use crate::symbol::SymbolTable;
+    use flux_symbols::SymbolTable;
 
     struct Fixture {
         table: SymbolTable,

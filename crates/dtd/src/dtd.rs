@@ -6,7 +6,7 @@ use crate::dfa::{is_one_unambiguous, Dfa};
 use crate::error::{DtdError, Result};
 use crate::glushkov::glushkov;
 use crate::parser::DtdParser;
-use crate::symbol::{Symbol, SymbolTable};
+use flux_symbols::{Symbol, SymbolTable};
 use std::collections::BTreeMap;
 
 /// A declared element type with its compiled child-sequence automaton.

@@ -7,7 +7,7 @@
 //! ([`crate::dfa`]) so non-deterministic models are still handled correctly.
 
 use crate::content_model::Particle;
-use crate::symbol::Symbol;
+use flux_symbols::Symbol;
 use std::collections::BTreeSet;
 
 /// The Glushkov decomposition of a particle.
@@ -156,7 +156,7 @@ pub fn glushkov(particle: &Particle) -> Glushkov {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::symbol::SymbolTable;
+    use flux_symbols::SymbolTable;
 
     fn syms() -> (SymbolTable, Symbol, Symbol, Symbol) {
         let mut t = SymbolTable::new();

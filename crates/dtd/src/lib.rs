@@ -21,15 +21,14 @@ pub mod dtd;
 pub mod error;
 pub mod glushkov;
 pub mod parser;
-pub mod symbol;
 pub mod xsd;
 
 pub use content_model::{AttDef, AttDefault, ContentSpec, Particle};
 pub use dfa::{Dfa, StateId};
 pub use dtd::{Dtd, ElementDecl};
 pub use error::{DtdError, Result};
+pub use flux_symbols::{Symbol, SymbolTable};
 pub use glushkov::glushkov;
-pub use symbol::{Symbol, SymbolTable};
 pub use xsd::parse_xsd;
 
 /// The weak bibliography DTD from Section 2 of the paper.

@@ -5,7 +5,7 @@
 
 use crate::content_model::{AttDef, AttDefault, ContentSpec, Particle};
 use crate::error::{DtdError, Result};
-use crate::symbol::SymbolTable;
+use flux_symbols::SymbolTable;
 
 /// A raw, unresolved declaration stream as parsed from DTD text.
 #[derive(Debug, Default)]

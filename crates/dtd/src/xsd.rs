@@ -235,7 +235,7 @@ fn apply_occurs(
         Some(v) => Some(v.parse().map_err(|_| DtdError::new("bad maxOccurs"))?),
     };
     let base = match base {
-        ParticleName(n) => Particle::Name(crate::symbol::Symbol::from_index(intern_placeholder(n))),
+        ParticleName(n) => Particle::Name(flux_symbols::Symbol::from_index(intern_placeholder(n))),
         ParticleGroup(p) => p,
     };
     particle_with_occurs(base, min, max)

@@ -31,16 +31,15 @@
 //! document emptied, a new text-gate generation, a fresh tracker — but
 //! without rebuilding anything, and a successful run resets the scratch
 //! (releasing whatever the input grew past the configured window) before
-//! handing it back. A failed run leaves its scratch empty. The
-//! `execute_plan*` functions run over an empty scratch; `FluxEngine`
+//! handing it back. A failed run leaves its scratch empty. The one free
+//! entry point, [`execute_plan`], runs over an empty scratch; `FluxEngine`
 //! pools scratches, so all of its runs after the first are warm.
 
 use crate::buffer::BufferArena;
 use crate::error::{Result, RuntimeError};
-use crate::plan::{compile_plan, DocTiming, HandlerPlan, Plan, PlanExpr, PsId};
+use crate::plan::{DocTiming, HandlerPlan, Plan, PlanExpr, PsId};
 use crate::stats::RunStats;
 use flux_dtd::Dtd;
-use flux_lang::FluxQuery;
 use flux_telemetry::{RunReport, RuntimeCounters, Stage};
 use flux_xml::recycle;
 use flux_xml::tree::NodeId;
@@ -77,43 +76,10 @@ struct Frame {
     shells: usize,
 }
 
-/// Executes a compiled FluX query over an XML input stream.
-pub struct Executor<'d> {
-    dtd: &'d Dtd,
-    plan: Plan,
-}
-
-impl<'d> Executor<'d> {
-    /// Compiles the physical plan for `query`.
-    pub fn new(query: &FluxQuery, dtd: &'d Dtd) -> Result<Self> {
-        let plan = compile_plan(query, dtd)?;
-        Ok(Executor { dtd, plan })
-    }
-
-    /// The compiled plan (for explain output).
-    pub fn plan(&self) -> &Plan {
-        &self.plan
-    }
-
-    /// Runs the query over `input`, writing the result stream to `output`.
-    pub fn run<R: Read, W: Write>(&self, input: R, output: W) -> Result<RunStats> {
-        self.run_with_config(input, output, XsaxConfig::default())
-    }
-
-    pub fn run_with_config<R: Read, W: Write>(
-        &self,
-        input: R,
-        output: W,
-        config: XsaxConfig,
-    ) -> Result<RunStats> {
-        execute_plan(&self.plan, self.dtd, input, output, config)
-    }
-}
-
-/// Runs a pre-compiled physical plan over an input stream. This is the
-/// lowest-level entry point; [`Executor`] and the `fluxquery-core` facade
-/// wrap it. Starts cold: a [`RunScratch`] reused across runs of the same
-/// plan skips the set-up this pays.
+/// Runs a pre-compiled physical plan over an input stream. Starts cold: a
+/// [`RunScratch`] reused across runs of the same plan skips the set-up
+/// this pays, and its methods also take a parallel source and assemble
+/// the telemetry report.
 pub fn execute_plan<R: Read, W: Write>(
     plan: &Plan,
     dtd: &Dtd,
@@ -123,50 +89,6 @@ pub fn execute_plan<R: Read, W: Write>(
 ) -> Result<RunStats> {
     let (stats, _) = RunScratch::default().execute(plan, dtd, input, output, config, false)?;
     Ok(stats)
-}
-
-/// [`execute_plan`] plus the run's assembled telemetry [`RunReport`].
-pub fn execute_plan_with_report<R: Read, W: Write>(
-    plan: &Plan,
-    dtd: &Dtd,
-    input: R,
-    output: W,
-    config: XsaxConfig,
-) -> Result<(RunStats, RunReport)> {
-    let (stats, report) = RunScratch::default().execute(plan, dtd, input, output, config, true)?;
-    Ok((stats, report.expect("report requested")))
-}
-
-/// Runs a pre-compiled plan over an arbitrary [`EventSource`] — the entry
-/// point for parallel input: hand it a `flux_shard::ShardedReader` seeded
-/// with `flux_xsax::seeded_symbols(&dtd)` and the shards parse on their
-/// own threads while this evaluator (and the XSAX DFA configuration it
-/// drives) consumes the stitched stream sequentially.
-pub fn execute_plan_from_source<S: EventSource, W: Write>(
-    plan: &Plan,
-    dtd: &Dtd,
-    source: S,
-    output: W,
-    config: XsaxConfig,
-) -> Result<RunStats> {
-    let (stats, _) =
-        RunScratch::default().execute_source(plan, dtd, source, output, config, false)?;
-    Ok(stats)
-}
-
-/// [`execute_plan_from_source`] plus the run's telemetry [`RunReport`] —
-/// with a sharded source, the report carries the per-shard pipeline
-/// timeline the source recorded.
-pub fn execute_plan_from_source_with_report<S: EventSource, W: Write>(
-    plan: &Plan,
-    dtd: &Dtd,
-    source: S,
-    output: W,
-    config: XsaxConfig,
-) -> Result<(RunStats, RunReport)> {
-    let (stats, report) =
-        RunScratch::default().execute_source(plan, dtd, source, output, config, true)?;
-    Ok((stats, report.expect("report requested")))
 }
 
 /// Everything one run of a plan grows, kept for the next run of the same
@@ -207,8 +129,8 @@ struct ExecParts {
 }
 
 impl RunScratch {
-    /// [`execute_plan`] (or [`execute_plan_with_report`] with
-    /// `want_report`) over this scratch's recycled storage.
+    /// [`execute_plan`] over this scratch's recycled storage, plus the
+    /// run's assembled telemetry [`RunReport`] when `want_report` is set.
     pub fn execute<R: Read, W: Write>(
         &mut self,
         plan: &Plan,
@@ -226,9 +148,14 @@ impl RunScratch {
         Ok((stats, report))
     }
 
-    /// [`execute_plan_from_source`] (or its report variant) over this
-    /// scratch's recycled XSAX and executor storage; the source brings
-    /// its own.
+    /// [`RunScratch::execute`] over an arbitrary [`EventSource`] — the
+    /// entry point for parallel input: hand it a `flux_shard::ShardedReader`
+    /// seeded with `flux_xsax::seeded_symbols(&dtd)` and the shards parse
+    /// on their own threads while this evaluator (and the XSAX DFA
+    /// configuration it drives) consumes the stitched stream sequentially.
+    /// Only the XSAX and executor storage is recycled; the source brings
+    /// its own. With a sharded source, the report carries the per-shard
+    /// pipeline timeline the source recorded.
     pub fn execute_source<S: EventSource, W: Write>(
         &mut self,
         plan: &Plan,
@@ -353,7 +280,7 @@ struct ExecState<'p, W: Write> {
 }
 
 impl<'p, W: Write> ExecState<'p, W> {
-    /// Executor state for one run of `plan` over recycled `parts` (empty
+    /// Execution state for one run of `plan` over recycled `parts` (empty
     /// parts for a cold run).
     fn from_parts(plan: &'p Plan, symbols: &SymbolTable, output: W, parts: ExecParts) -> Self {
         let ExecParts {
@@ -734,6 +661,7 @@ impl<'p, W: Write> ExecState<'p, W> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::compile_plan;
     use flux_dtd::{PAPER_FIG1_DTD, PAPER_WEAK_DTD};
     use flux_lang::{compile, CompileOptions, OptimizerConfig};
     use flux_xml::RawEvent;
@@ -743,10 +671,9 @@ mod tests {
     fn run(query: &str, dtd_text: &str, doc: &str) -> (String, RunStats) {
         let dtd = Dtd::parse(dtd_text).unwrap();
         let compiled = compile(query, &dtd, &CompileOptions::default()).unwrap();
-        let exec = Executor::new(&compiled, &dtd).unwrap();
+        let plan = compile_plan(&compiled, &dtd).unwrap();
         let mut out = Vec::new();
-        let stats = exec
-            .run(doc.as_bytes(), &mut out)
+        let stats = execute_plan(&plan, &dtd, doc.as_bytes(), &mut out, XsaxConfig::default())
             .unwrap_or_else(|e| panic!("execution failed: {e}"));
         (String::from_utf8(out).unwrap(), stats)
     }
@@ -853,9 +780,15 @@ mod tests {
     fn validation_errors_surface() {
         let dtd = Dtd::parse(PAPER_WEAK_DTD).unwrap();
         let compiled = compile(Q3, &dtd, &CompileOptions::default()).unwrap();
-        let exec = Executor::new(&compiled, &dtd).unwrap();
+        let plan = compile_plan(&compiled, &dtd).unwrap();
         let mut out = Vec::new();
-        let err = exec.run("<bib><pamphlet/></bib>".as_bytes(), &mut out);
+        let err = execute_plan(
+            &plan,
+            &dtd,
+            "<bib><pamphlet/></bib>".as_bytes(),
+            &mut out,
+            XsaxConfig::default(),
+        );
         assert!(err.is_err());
     }
 

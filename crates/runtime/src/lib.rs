@@ -16,10 +16,7 @@ pub mod stats;
 pub use bdf::{SpecArena, SpecEdge, SpecId, SpecView};
 pub use buffer::BufferArena;
 pub use error::{Result, RuntimeError};
-pub use exec::{
-    execute_plan, execute_plan_from_source, execute_plan_from_source_with_report,
-    execute_plan_with_report, Executor, RunScratch,
-};
+pub use exec::{execute_plan, RunScratch};
 pub use flux_telemetry::RunReport;
 pub use plan::{compile_plan, Plan, PsId};
 pub use stats::{MemoryTracker, RunStats};

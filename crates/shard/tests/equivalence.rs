@@ -329,10 +329,9 @@ fn xsax_verdicts_agree_with_sequential() {
     for (doc, should_pass) in [(&valid, true), (&invalid, false)] {
         let sequential = {
             let mut p = XsaxParser::new(doc.as_bytes(), &dtd).expect("parser");
-            let mut ev = RawEvent::new();
             let mut n = 0u64;
             loop {
-                match p.next_into(&mut ev) {
+                match p.next_step() {
                     Ok(Some(_)) => n += 1,
                     Ok(None) => break Ok(n),
                     Err(e) => break Err(e),
@@ -346,10 +345,9 @@ fn xsax_verdicts_agree_with_sequential() {
                 ShardedReader::with_symbols(doc.as_bytes().to_vec(), config, seeded_symbols(&dtd));
             let mut p =
                 XsaxParser::from_source(source, &dtd, XsaxConfig::default()).expect("from_source");
-            let mut ev = RawEvent::new();
             let mut n = 0u64;
             let sharded: Result<u64, _> = loop {
-                match p.next_into(&mut ev) {
+                match p.next_step() {
                     Ok(Some(_)) => n += 1,
                     Ok(None) => break Ok(n),
                     Err(e) => break Err(e),
@@ -389,10 +387,9 @@ fn xsax_past_fires_agree_over_sharded_source() {
         labels: PastLabels,
     ) -> Vec<(u64, u32)> {
         parser.register_past(book, labels).expect("register");
-        let mut ev = RawEvent::new();
         let mut ordinal = 0u64;
         let mut fires = Vec::new();
-        while let Some(step) = parser.next_into(&mut ev).expect("step") {
+        while let Some(step) = parser.next_step().expect("step") {
             ordinal += 1;
             if let XsaxStep::Fire { id, .. } = step {
                 fires.push((ordinal, id.0));

@@ -366,8 +366,8 @@ impl RawEvent {
         self.text_synthetic = yes;
     }
 
-    /// Converts to the owned, string-named representation (allocates; the
-    /// compatibility path for [`crate::XmlReader::next_event`] consumers).
+    /// Converts to the owned, string-named representation (allocates) —
+    /// the one owned rendering of the interned event, for tests and tools.
     pub fn to_xml_event(&self, symbols: &SymbolTable) -> XmlEvent {
         match self.kind {
             RawEventKind::StartDocument => XmlEvent::StartDocument,

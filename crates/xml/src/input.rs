@@ -177,6 +177,15 @@ impl MemoryBudget {
         self.peak_total.load(Ordering::Relaxed)
     }
 
+    /// Post-run enforcement shared by every engine: folds the run's
+    /// buffer peak (`RunStats::peak_buffer_bytes`) into the budget the
+    /// pipeline charged its windows, tapes and chunks against, then
+    /// [`check`](Self::check)s the limit.
+    pub fn check_run(&self, peak_buffer_bytes: usize) -> std::result::Result<(), BudgetExceeded> {
+        self.record_peak(BudgetKind::Buffer, peak_buffer_bytes as u64);
+        self.check()
+    }
+
     /// Whether the tracked peak stayed within the limit; `Err` carries a
     /// per-pool breakdown for the engine's budget-exceeded error.
     pub fn check(&self) -> std::result::Result<(), BudgetExceeded> {

@@ -10,17 +10,21 @@
 //! the document (the in-repo consumers of that mode — the DOM and
 //! projection baselines — materialise the document anyway).
 //!
-//! Two pull APIs exist over the same parsing core:
+//! Two pull APIs share one parsing core:
 //!
-//! * [`XmlReader::next_into`] — the hot path. The caller owns one
-//!   [`RawEvent`] that is rewritten in place; element and attribute names
-//!   are interned [`Symbol`]s, text and attribute values land in recycled
-//!   buffers, and UTF-8 is validated in place. In the steady state (every
-//!   name interned, buffers grown to the largest token) pulling an event
+//! * [`XmlReader::next_into`] — the caller owns one [`RawEvent`] that is
+//!   rewritten in place; element and attribute names are interned
+//!   [`Symbol`]s, text and attribute values land in recycled buffers, and
+//!   UTF-8 is validated in place. In the steady state (every name
+//!   interned, buffers grown to the largest token) pulling an event
 //!   performs **zero heap allocations**.
-//! * [`XmlReader::next_event`] / [`XmlReader::next`] — the owned
-//!   [`XmlEvent`] API, which allocates per event. Kept for tests, tools and
-//!   anything off the hot path; it is a thin wrapper over the raw core.
+//! * [`XmlReader::advance`] / [`XmlReader::view`] — the same events as a
+//!   borrowed view, skipping even the copy of text runs that end inside
+//!   the scanner window.
+//!
+//! Where an owned, string-named [`XmlEvent`] is wanted (tests, tools),
+//! [`RawEvent::to_xml_event`] renders one; [`parse_to_events`] does so for
+//! a whole document.
 //!
 //! The reader checks well-formedness (tag balance, a single root element,
 //! attribute uniqueness, entity definedness) but performs no validation —
@@ -108,8 +112,8 @@ enum State {
 
 /// Streaming pull parser over any [`Read`] source.
 ///
-/// A thin shell around `ReaderCore` plus the two recycled events the
-/// pull APIs write into. The split is load-bearing: `advance` hands
+/// A thin shell around `ReaderCore` plus the recycled event behind
+/// [`XmlReader::view`]. The split is load-bearing: `advance` hands
 /// `&mut self.current` and `&mut self.core` to the parsing core as
 /// disjoint field borrows, so no per-event move of the event struct is
 /// needed to satisfy the borrow checker.
@@ -118,8 +122,6 @@ pub struct XmlReader<R: Read> {
     /// The event behind [`XmlReader::view`], filled in place by
     /// [`XmlReader::advance`].
     current: RawEvent,
-    /// Recycled event backing the owned-`XmlEvent` compatibility API.
-    compat: RawEvent,
 }
 
 /// The parsing state machine behind [`XmlReader`] — everything except
@@ -334,7 +336,6 @@ impl<R: Read> XmlReader<R> {
                 borrowed_text: None,
                 tel: ReaderCounters::default(),
             },
-            compat: RawEvent::new(),
             current,
         }
     }
@@ -459,30 +460,6 @@ impl<R: Read> XmlReader<R> {
         }
     }
 
-    /// Pulls the next event. After [`XmlEvent::EndDocument`], returns `None`.
-    #[allow(clippy::should_implement_trait)]
-    pub fn next(&mut self) -> Result<Option<XmlEvent>> {
-        if self.core.state == State::Done {
-            return Ok(None);
-        }
-        #[allow(deprecated)]
-        self.next_event().map(Some)
-    }
-
-    /// Pulls the next event as an owned [`XmlEvent`]; calling after
-    /// `EndDocument` is an error. Allocates per event.
-    #[deprecated(
-        since = "0.1.0",
-        note = "legacy string-event wrapper; migrate to `XmlReader::next_into` \
-                (caller-owned recycled event) or `advance`/`view` (borrowed \
-                zero-copy view). Both deliver interned `Symbol` names; map \
-                them back with `XmlReader::symbols()` where strings are needed."
-    )]
-    pub fn next_event(&mut self) -> Result<XmlEvent> {
-        self.core.fill_event(&mut self.compat, false)?;
-        Ok(self.compat.to_xml_event(&self.core.symbols))
-    }
-
     /// A copy of the scanner's refill/prescan counters (zero-sized unless
     /// the `telemetry` feature is on). Shard workers harvest these at
     /// join time and merge them into the pipeline totals.
@@ -563,7 +540,7 @@ impl<R: Read> ReaderCore<R> {
         }
         loop {
             match self.state {
-                State::Done => return Err(self.syntax("next_event called after end of document")),
+                State::Done => return Err(self.syntax("event pulled after end of document")),
                 State::Prolog | State::Epilog => {
                     self.scanner.skip_whitespace()?;
                     self.event_start = self.scanner.position();
@@ -1369,18 +1346,14 @@ impl<R: Read> ReaderCore<R> {
 
 /// Convenience: parses a complete document from a string into an event list.
 /// Intended for tests and small inputs.
-#[allow(deprecated)] // the owned-event API is this helper's whole point
 pub fn parse_to_events(input: &str) -> Result<Vec<XmlEvent>> {
     let mut reader = XmlReader::new(input.as_bytes());
+    let mut ev = RawEvent::new();
     let mut events = Vec::new();
-    loop {
-        let ev = reader.next_event()?;
-        let done = ev == XmlEvent::EndDocument;
-        events.push(ev);
-        if done {
-            return Ok(events);
-        }
+    while reader.next_into(&mut ev)? {
+        events.push(ev.to_xml_event(reader.symbols()));
     }
+    Ok(events)
 }
 #[cfg(test)]
 mod tests {
@@ -1393,6 +1366,15 @@ mod tests {
 
     fn kinds(input: &str) -> Vec<&'static str> {
         events(input).iter().map(|e| e.kind()).collect()
+    }
+
+    /// Pulls the next event as an owned [`XmlEvent`]; `None` after
+    /// `EndDocument`.
+    fn next_owned<R: Read>(reader: &mut XmlReader<R>) -> Result<Option<XmlEvent>> {
+        let mut ev = RawEvent::new();
+        Ok(reader
+            .next_into(&mut ev)?
+            .then(|| ev.to_xml_event(reader.symbols())))
     }
 
     #[test]
@@ -1487,7 +1469,6 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
     fn comments_emitted_when_configured() {
         let mut reader = XmlReader::with_config(
             "<a><!--c--></a>".as_bytes(),
@@ -1497,14 +1478,10 @@ mod tests {
             },
         );
         let mut found = false;
-        loop {
-            match reader.next_event().unwrap() {
-                XmlEvent::Comment(c) => {
-                    assert_eq!(c, "c");
-                    found = true;
-                }
-                XmlEvent::EndDocument => break,
-                _ => {}
+        while let Some(ev) = next_owned(&mut reader).unwrap() {
+            if let XmlEvent::Comment(c) = ev {
+                assert_eq!(c, "c");
+                found = true;
             }
         }
         assert!(found);
@@ -1607,7 +1584,6 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
     fn depth_limit_enforced() {
         let mut input = String::new();
         for _ in 0..50 {
@@ -1620,17 +1596,13 @@ mod tests {
                 ..ReaderConfig::default()
             },
         );
-        let mut err = None;
-        loop {
-            match reader.next_event() {
-                Ok(XmlEvent::EndDocument) => break,
-                Ok(_) => {}
-                Err(e) => {
-                    err = Some(e);
-                    break;
-                }
+        let err = loop {
+            match next_owned(&mut reader) {
+                Ok(Some(_)) => {}
+                Ok(None) => break None,
+                Err(e) => break Some(e),
             }
-        }
+        };
         assert!(matches!(err, Some(XmlError::WellFormedness { .. })));
     }
 
@@ -1674,7 +1646,6 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
     fn pi_emitted_when_configured() {
         let mut reader = XmlReader::with_config(
             "<a><?target some data?></a>".as_bytes(),
@@ -1684,15 +1655,11 @@ mod tests {
             },
         );
         let mut found = false;
-        loop {
-            match reader.next_event().unwrap() {
-                XmlEvent::ProcessingInstruction { target, data } => {
-                    assert_eq!(target, "target");
-                    assert_eq!(data, "some data");
-                    found = true;
-                }
-                XmlEvent::EndDocument => break,
-                _ => {}
+        while let Some(ev) = next_owned(&mut reader).unwrap() {
+            if let XmlEvent::ProcessingInstruction { target, data } = ev {
+                assert_eq!(target, "target");
+                assert_eq!(data, "some data");
+                found = true;
             }
         }
         assert!(found);
@@ -1933,7 +1900,7 @@ mod tests {
         let second = r#"<bib><book zq="3"/><book ab="4"/></bib>"#;
         let read = |reader: &mut XmlReader<&[u8]>| {
             let mut out = Vec::new();
-            while let Some(ev) = reader.next().unwrap() {
+            while let Some(ev) = next_owned(reader).unwrap() {
                 out.push(ev);
             }
             out
@@ -1991,18 +1958,5 @@ mod tests {
             }
         }
         assert_eq!(text.as_deref(), Some(body.as_str()));
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn mixed_raw_and_owned_pulls_agree() {
-        let doc = "<a><b>x</b><c k=\"v\"/></a>";
-        let mut reader = XmlReader::new(doc.as_bytes());
-        let mut ev = RawEvent::new();
-        assert!(reader.next_into(&mut ev).unwrap()); // start-document
-        let owned = reader.next_event().unwrap(); // start a (owned API)
-        assert_eq!(owned.element_name(), Some("a"));
-        assert!(reader.next_into(&mut ev).unwrap()); // start b (raw API)
-        assert_eq!(reader.symbols().name(ev.name()), "b");
     }
 }

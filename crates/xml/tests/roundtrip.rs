@@ -133,18 +133,16 @@ proptest! {
     }
 }
 
-/// Reads `text` with the owned-`XmlEvent` API and re-serialises it.
-#[allow(deprecated)] // exercises the legacy string-event path on purpose
+/// Reads `text`, renders each event as an owned `XmlEvent` and
+/// re-serialises it through the owned-event writer.
 fn pipe_through_strings(text: &str) -> String {
     let mut reader = XmlReader::new(text.as_bytes());
     let mut writer = XmlWriter::new(Vec::new());
-    loop {
-        let ev = reader.next_event().expect("string-path parse");
-        let done = ev == XmlEvent::EndDocument;
-        writer.write_event(&ev).expect("string-path write");
-        if done {
-            break;
-        }
+    let mut ev = RawEvent::new();
+    while reader.next_into(&mut ev).expect("string-path parse") {
+        writer
+            .write_event(&ev.to_xml_event(reader.symbols()))
+            .expect("string-path write");
     }
     writer.finish().expect("string-path finish");
     String::from_utf8(writer.into_inner()).expect("utf8 output")

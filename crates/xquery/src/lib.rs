@@ -9,8 +9,8 @@
 //! every name to a [`Symbol`](flux_xml::Symbol) and every variable to a
 //! dense slot once per query, and a streaming stage ([`eval`]) that walks
 //! buffered documents through lazy [`cursor`]s. The original materialising
-//! interpreter survives in [`reference`] as the differential-testing
-//! oracle.
+//! interpreter survives in [`reference`](mod@reference) as the
+//! differential-testing oracle.
 //!
 //! The supported fragment follows the paper (Sec. 4): arbitrarily nested
 //! for-loops and joins, conditionals with existential general comparisons,

@@ -1,7 +1,6 @@
 //! XSAX events and past-query registrations.
 
 use flux_dtd::{Symbol, SymbolTable};
-use flux_xml::XmlEvent;
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -60,26 +59,10 @@ impl fmt::Display for PastLabels {
     }
 }
 
-/// An event produced by the XSAX parser: either an ordinary SAX event or a
-/// fired past query.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum XsaxEvent {
-    Sax(XmlEvent),
-    /// The registered query `id` fired for the instance of its element type
-    /// at nesting `depth` (the depth of the element whose children are being
-    /// tracked, root = 1).
-    OnFirstPast {
-        id: PastId,
-        depth: usize,
-    },
-}
-
-/// The result of one [`crate::XsaxParser::next_into`] pull — the
-/// allocation-free counterpart of [`XsaxEvent`].
+/// The result of one [`crate::XsaxParser::next_step`] pull.
 ///
-/// `Sax` means the caller's recycled [`flux_xml::RawEvent`] now holds the
-/// next validated event; `Fire` is a fired past query (the buffer is left
-/// untouched).
+/// `Sax` means [`crate::XsaxParser::view`] now exposes the next validated
+/// event; `Fire` is a fired past query and delivers no event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum XsaxStep {
     Sax,
@@ -91,15 +74,6 @@ pub enum XsaxStep {
     },
 }
 
-impl XsaxEvent {
-    pub fn as_sax(&self) -> Option<&XmlEvent> {
-        match self {
-            XsaxEvent::Sax(ev) => Some(ev),
-            XsaxEvent::OnFirstPast { .. } => None,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -109,16 +83,5 @@ mod tests {
         assert!(PastLabels::All.mentions_text());
         assert!(PastLabels::labels([SymbolTable::TEXT]).mentions_text());
         assert!(!PastLabels::labels([]).mentions_text());
-    }
-
-    #[test]
-    fn as_sax_projection() {
-        let ev = XsaxEvent::Sax(XmlEvent::StartDocument);
-        assert!(ev.as_sax().is_some());
-        let fire = XsaxEvent::OnFirstPast {
-            id: PastId(0),
-            depth: 1,
-        };
-        assert!(fire.as_sax().is_none());
     }
 }

@@ -15,7 +15,7 @@
 //!
 //! Event ordering contract (what the FluXQuery evaluator relies on):
 //!
-//! * a fired [`XsaxEvent::OnFirstPast`] is delivered **before** the
+//! * a fired [`XsaxStep::Fire`] is delivered **before** the
 //!   `StartElement` of the child whose arrival triggered it, or **after**
 //!   the `EndElement` of the child that completed the last possible `L`
 //!   match, or **before** the `EndElement` of the `E` instance itself —
@@ -29,5 +29,5 @@ pub mod event;
 pub mod parser;
 
 pub use error::{Result, XsaxError};
-pub use event::{PastId, PastLabels, XsaxEvent, XsaxStep};
+pub use event::{PastId, PastLabels, XsaxStep};
 pub use parser::{seeded_reader, seeded_symbols, validate, XsaxConfig, XsaxParser, XsaxParts};

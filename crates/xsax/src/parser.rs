@@ -13,18 +13,16 @@
 //! the source's storage (scanner window or shard tape arena) to the
 //! consumer without a copy. Attribute defaults a validating parser must
 //! inject are kept in a side list and chained onto the view, so even
-//! default injection does not force materialisation. The copying
-//! [`XsaxParser::next_into`] and the owned [`XsaxParser::next`] APIs wrap
-//! it for compatibility, tests and tools.
+//! default injection does not force materialisation. It is the parser's
+//! only pull API: a consumer that needs an owned event renders the view
+//! with [`RawEventRef::to_xml_event`].
 
 use crate::error::{Result, XsaxError};
-use crate::event::{PastId, PastLabels, XsaxEvent, XsaxStep};
+use crate::event::{PastId, PastLabels, XsaxStep};
 use flux_dtd::{AttDefault, Dfa, Dtd, ElementDecl, StateId, Symbol, SymbolTable};
 use flux_telemetry::{RunReport, Stage, XsaxCounters};
 use flux_xml::recycle::{self, relabel};
-use flux_xml::{
-    EventSource, RawEvent, RawEventKind, RawEventRef, ReaderParts, XmlEvent, XmlReader,
-};
+use flux_xml::{EventSource, RawEventKind, RawEventRef, ReaderParts, XmlEvent, XmlReader};
 use std::collections::{HashMap, VecDeque};
 use std::io::Read;
 
@@ -153,8 +151,6 @@ pub struct XsaxParser<'d, S: EventSource> {
     /// Attribute defaults injected for the current start element, chained
     /// onto the view after the literal attributes. Values borrow the DTD.
     injected: Vec<(Symbol, &'d str)>,
-    /// Recycled event backing the owned-`XsaxEvent` compatibility API.
-    compat: RawEvent,
     started: bool,
     finished: bool,
     /// Validation/fire counters (zero-sized unless telemetry is enabled).
@@ -303,7 +299,6 @@ impl<'d, S: EventSource> XsaxParser<'d, S> {
             spare_trackers: parts.spare_trackers,
             pending: parts.pending,
             injected: relabel(parts.injected),
-            compat: RawEvent::new(),
             started: false,
             finished: false,
             tel: XsaxCounters::default(),
@@ -495,44 +490,6 @@ impl<'d, S: EventSource> XsaxParser<'d, S> {
     /// valid until the next [`XsaxParser::next_step`].
     pub fn view(&self) -> RawEventRef<'_> {
         self.source.view().with_defaults(&self.injected)
-    }
-
-    /// Pulls the next step, materialising a delivered sax event into the
-    /// caller-owned `ev` — the copying compatibility wrapper around
-    /// [`XsaxParser::next_step`] / [`XsaxParser::view`].
-    pub fn next_into(&mut self, ev: &mut RawEvent) -> Result<Option<XsaxStep>> {
-        let step = self.next_step()?;
-        if let Some(XsaxStep::Sax) = step {
-            self.view().copy_into(ev);
-        }
-        Ok(step)
-    }
-
-    /// Pulls the next event as an owned [`XsaxEvent`], or `None` after
-    /// `EndDocument`. Allocates per event.
-    #[deprecated(
-        since = "0.1.0",
-        note = "legacy string-event wrapper; migrate to `XsaxParser::next_step` \
-                with `view()` (borrowed zero-copy view) or `next_into` \
-                (caller-owned recycled event). Both deliver interned `Symbol` \
-                names; map them back with `symbols()` where strings are needed."
-    )]
-    #[allow(clippy::should_implement_trait)]
-    pub fn next(&mut self) -> Result<Option<XsaxEvent>> {
-        let mut ev = std::mem::take(&mut self.compat);
-        let res = self.next_into(&mut ev);
-        let out = match res {
-            Ok(Some(XsaxStep::Sax)) => {
-                Ok(Some(XsaxEvent::Sax(ev.to_xml_event(self.source.symbols()))))
-            }
-            Ok(Some(XsaxStep::Fire { id, depth })) => {
-                Ok(Some(XsaxEvent::OnFirstPast { id, depth }))
-            }
-            Ok(None) => Ok(None),
-            Err(e) => Err(e),
-        };
-        self.compat = ev;
-        out
     }
 
     /// Looks up the pre-resolved declaration for a stream symbol.
@@ -811,9 +768,8 @@ fn is_past_at(dfa: &Dfa, text_allowed: bool, labels: &PastLabels, state: StateId
 /// delivered events.
 pub fn validate<R: Read>(src: R, dtd: &Dtd) -> Result<u64> {
     let mut parser = XsaxParser::new(src, dtd)?;
-    let mut ev = RawEvent::new();
     let mut n = 0;
-    while parser.next_into(&mut ev)?.is_some() {
+    while parser.next_step()?.is_some() {
         n += 1;
     }
     Ok(n)
@@ -821,7 +777,6 @@ pub fn validate<R: Read>(src: R, dtd: &Dtd) -> Result<u64> {
 
 /// Convenience for tests: runs a document through XSAX with the given past
 /// registrations, returning a rendered event trace.
-#[allow(deprecated)] // diagnostic helper; the owned-event API is its point
 pub fn trace(
     input: &str,
     dtd: &Dtd,
@@ -832,24 +787,22 @@ pub fn trace(
         parser.register_past(*sym, labels.clone())?;
     }
     let mut out = Vec::new();
-    while let Some(ev) = parser.next()? {
-        match ev {
-            XsaxEvent::Sax(XmlEvent::StartDocument)
-            | XsaxEvent::Sax(XmlEvent::EndDocument)
-            | XsaxEvent::Sax(XmlEvent::DoctypeDecl { .. }) => {}
-            XsaxEvent::Sax(XmlEvent::StartElement { name, .. }) => out.push(format!("<{name}>")),
-            XsaxEvent::Sax(XmlEvent::EndElement { name }) => out.push(format!("</{name}>")),
-            XsaxEvent::Sax(XmlEvent::Text(t)) => out.push(format!("{t:?}")),
-            XsaxEvent::Sax(other) => out.push(other.kind().to_string()),
-            XsaxEvent::OnFirstPast { id, .. } => out.push(format!("past#{}", id.0)),
+    while let Some(step) = parser.next_step()? {
+        match step {
+            XsaxStep::Fire { id, .. } => out.push(format!("past#{}", id.0)),
+            XsaxStep::Sax => match parser.view().to_xml_event(parser.symbols()) {
+                XmlEvent::StartDocument | XmlEvent::EndDocument | XmlEvent::DoctypeDecl { .. } => {}
+                XmlEvent::StartElement { name, .. } => out.push(format!("<{name}>")),
+                XmlEvent::EndElement { name } => out.push(format!("</{name}>")),
+                XmlEvent::Text(t) => out.push(format!("{t:?}")),
+                other => out.push(other.kind().to_string()),
+            },
         }
     }
     Ok(out)
 }
 #[cfg(test)]
 mod tests {
-    // Tests exercise the deprecated owned-event wrappers on purpose.
-    #![allow(deprecated)]
     use super::*;
     use flux_dtd::{PAPER_FIG1_DTD, PAPER_WEAK_DTD};
 
@@ -1001,16 +954,14 @@ mod tests {
             .register_past(book, PastLabels::labels([bib]))
             .unwrap();
         let mut events = Vec::new();
-        while let Some(ev) = parser.next().unwrap() {
-            match ev {
-                XsaxEvent::Sax(XmlEvent::StartElement { ref name, .. }) => {
-                    events.push(format!("<{name}>"))
-                }
-                XsaxEvent::Sax(XmlEvent::EndElement { ref name }) => {
-                    events.push(format!("</{name}>"))
-                }
-                XsaxEvent::OnFirstPast { .. } => events.push("fire".to_string()),
-                _ => {}
+        while let Some(step) = parser.next_step().unwrap() {
+            match step {
+                XsaxStep::Fire { .. } => events.push("fire".to_string()),
+                XsaxStep::Sax => match parser.view().to_xml_event(parser.symbols()) {
+                    XmlEvent::StartElement { name, .. } => events.push(format!("<{name}>")),
+                    XmlEvent::EndElement { name } => events.push(format!("</{name}>")),
+                    _ => {}
+                },
             }
         }
         let book_start = events.iter().position(|e| e == "<book>").unwrap();
@@ -1113,8 +1064,13 @@ mod tests {
                 .unwrap();
         let mut parser = XsaxParser::new("<a/>".as_bytes(), &dtd).unwrap();
         let mut found = false;
-        while let Some(ev) = parser.next().unwrap() {
-            if let XsaxEvent::Sax(XmlEvent::StartElement { attributes, .. }) = ev {
+        while let Some(step) = parser.next_step().unwrap() {
+            if step != XsaxStep::Sax {
+                continue;
+            }
+            if let XmlEvent::StartElement { attributes, .. } =
+                parser.view().to_xml_event(parser.symbols())
+            {
                 assert_eq!(attributes.len(), 2);
                 assert_eq!(attributes[0].value, "en");
                 assert_eq!(attributes[1].value, "x");
@@ -1128,8 +1084,13 @@ mod tests {
     fn explicit_attribute_beats_default() {
         let dtd = Dtd::parse("<!ELEMENT a EMPTY>\n<!ATTLIST a lang CDATA \"en\">").unwrap();
         let mut parser = XsaxParser::new(r#"<a lang="de"/>"#.as_bytes(), &dtd).unwrap();
-        while let Some(ev) = parser.next().unwrap() {
-            if let XsaxEvent::Sax(XmlEvent::StartElement { attributes, .. }) = ev {
+        while let Some(step) = parser.next_step().unwrap() {
+            if step != XsaxStep::Sax {
+                continue;
+            }
+            if let XmlEvent::StartElement { attributes, .. } =
+                parser.view().to_xml_event(parser.symbols())
+            {
                 assert_eq!(attributes.len(), 1);
                 assert_eq!(attributes[0].value, "de");
             }
@@ -1146,7 +1107,7 @@ mod tests {
         // Missing required attribute.
         let mut p = XsaxParser::with_config("<a/>".as_bytes(), &dtd, config.clone()).unwrap();
         let err = loop {
-            match p.next() {
+            match p.next_step() {
                 Ok(Some(_)) => continue,
                 Ok(None) => panic!("expected validation error"),
                 Err(e) => break e,
@@ -1157,7 +1118,7 @@ mod tests {
         let mut p =
             XsaxParser::with_config(r#"<a id="1" bogus="2"/>"#.as_bytes(), &dtd, config).unwrap();
         let err = loop {
-            match p.next() {
+            match p.next_step() {
                 Ok(Some(_)) => continue,
                 Ok(None) => panic!("expected validation error"),
                 Err(e) => break e,
@@ -1171,7 +1132,7 @@ mod tests {
         let dtd = weak();
         let book = dtd.lookup("book").unwrap();
         let mut parser = XsaxParser::new(WEAK_DOC.as_bytes(), &dtd).unwrap();
-        parser.next().unwrap();
+        parser.next_step().unwrap();
         assert!(parser.register_past(book, PastLabels::All).is_err());
     }
 

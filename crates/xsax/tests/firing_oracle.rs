@@ -7,13 +7,12 @@
 //!    incomplete — the bug class that matters for correctness);
 //! 3. the fire happens **at or before** the closing tag.
 
-// The oracle drives the deprecated owned-event wrapper on purpose: it is
-// the simplest full-fidelity view of the event stream under test.
-#![allow(deprecated)]
+// The oracle renders each delivered view as an owned event: the simplest
+// full-fidelity view of the event stream under test.
 
 use flux_dtd::{Dtd, Symbol};
 use flux_xml::XmlEvent;
-use flux_xsax::{PastLabels, XsaxEvent, XsaxParser};
+use flux_xsax::{PastLabels, XsaxParser, XsaxStep};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -136,18 +135,22 @@ proptest! {
         let mut fires = 0usize;
         let mut saw_watched_after_fire = false;
         let mut root_closed_before_fire = false;
-        while let Some(ev) = parser.next().unwrap_or_else(|e| panic!("{doc}: {e}")) {
-            match ev {
-                XsaxEvent::OnFirstPast { .. } => {
+        while let Some(step) = parser.next_step().unwrap_or_else(|e| panic!("{doc}: {e}")) {
+            let ev = match step {
+                XsaxStep::Fire { .. } => {
                     fires += 1;
+                    continue;
                 }
-                XsaxEvent::Sax(XmlEvent::StartElement { ref name, .. }) if name != "root" => {
+                XsaxStep::Sax => parser.view().to_xml_event(parser.symbols()),
+            };
+            match ev {
+                XmlEvent::StartElement { ref name, .. } if name != "root" => {
                     let sym = dtd.lookup(name).expect("declared");
                     if fires > 0 && watched.contains(&sym) {
                         saw_watched_after_fire = true;
                     }
                 }
-                XsaxEvent::Sax(XmlEvent::EndElement { ref name }) if name == "root"
+                XmlEvent::EndElement { ref name } if name == "root"
                     && fires == 0 => {
                         root_closed_before_fire = true;
                     }
@@ -181,7 +184,7 @@ proptest! {
         };
         let doc = word_to_doc(&dtd, &word);
         let mut parser = XsaxParser::new(doc.as_bytes(), &dtd).expect("parser");
-        while let Some(_ev) = parser.next().unwrap_or_else(|e| panic!("valid doc rejected: {doc} ({model}): {e}")) {}
+        while let Some(_step) = parser.next_step().unwrap_or_else(|e| panic!("valid doc rejected: {doc} ({model}): {e}")) {}
 
         // Mutate: append one extra child; check XSAX agrees with the DFA.
         let root = dtd.lookup("root").expect("declared");
@@ -194,7 +197,7 @@ proptest! {
         let mut parser = XsaxParser::new(mutated_doc.as_bytes(), &dtd).expect("parser");
         let mut rejected = false;
         loop {
-            match parser.next() {
+            match parser.next_step() {
                 Ok(Some(_)) => continue,
                 Ok(None) => break,
                 Err(_) => {

@@ -26,7 +26,7 @@
 //!   --no-optimizer          disable the algebraic optimizer (ablation)
 //! ```
 
-use fluxquery::{EngineKind, FluxEngine, Input, MemoryBudget, Options, Parallelism};
+use fluxquery::{EngineKind, FluxEngine, Input, MemoryBudget, Options};
 use std::io::Write;
 use std::process::ExitCode;
 
@@ -176,10 +176,7 @@ fn run() -> Result<(), String> {
     let dtd = file_or_inline(dtd_arg).map_err(|e| format!("reading DTD: {e}"))?;
 
     if args.explain {
-        let mut options = Options::default();
-        if args.no_optimizer {
-            options = Options::without_algebraic_optimizer();
-        }
+        let options = Options::new().algebraic_optimizer(!args.no_optimizer);
         let engine =
             FluxEngine::compile_with_schema(&query, &dtd, &options).map_err(|e| e.to_string())?;
         println!("{}", engine.explain());
@@ -208,12 +205,9 @@ fn run() -> Result<(), String> {
     };
 
     let stats = if args.engine == EngineKind::Flux {
-        let mut options = Options::default();
-        if args.no_optimizer {
-            options = Options::without_algebraic_optimizer();
-        }
+        let mut options = Options::new().algebraic_optimizer(!args.no_optimizer);
         if let Some(n) = args.shards {
-            options.parallelism = Parallelism::Shards(n);
+            options = options.shards(n);
         }
         let engine =
             FluxEngine::compile_with_schema(&query, &dtd, &options).map_err(|e| e.to_string())?;

@@ -87,7 +87,7 @@ fn configurations() -> Vec<(String, EngineKind, Parallelism)> {
 
 fn options(cap: Option<usize>, parallelism: Parallelism) -> Options {
     let mut o = match cap {
-        Some(cap) => Options::with_max_symbols(cap),
+        Some(cap) => Options::new().max_symbols(cap),
         None => Options::new(),
     };
     o.parallelism = parallelism;

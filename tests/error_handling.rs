@@ -1,7 +1,7 @@
 //! Failure injection: malformed queries, schema violations and broken
 //! streams must surface as errors, never as wrong answers or panics.
 
-use fluxquery::{FluxEngine, Options, PAPER_FIG1_DTD, PAPER_WEAK_DTD};
+use fluxquery::{FluxEngine, Input, Options, PAPER_FIG1_DTD, PAPER_WEAK_DTD};
 
 const Q3: &str = r#"<results>{ for $b in $ROOT/bib/book return <result>{$b/title}{$b/author}</result> }</results>"#;
 
@@ -56,7 +56,7 @@ fn invalid_documents_rejected_at_runtime() {
         "<bib>text</bib>",
     ] {
         let mut out = Vec::new();
-        assert!(engine.run(bad.as_bytes(), &mut out).is_err(), "accepted: {bad}");
+        assert!(engine.run_input(Input::from_reader(bad.as_bytes()), &mut out).is_err(), "accepted: {bad}");
     }
 }
 
@@ -73,7 +73,9 @@ fn broken_xml_rejected_at_runtime() {
     ] {
         let mut out = Vec::new();
         assert!(
-            engine.run(bad.as_bytes(), &mut out).is_err(),
+            engine
+                .run_input(Input::from_reader(bad.as_bytes()), &mut out)
+                .is_err(),
             "accepted: {bad:?}"
         );
     }
@@ -86,7 +88,7 @@ fn truncated_stream_mid_element() {
     // Every strict prefix must fail cleanly (error, not panic or success).
     for cut in 1..full.len() {
         let mut out = Vec::new();
-        let result = engine.run(&full.as_bytes()[..cut], &mut out);
+        let result = engine.run_input(Input::from_reader(&full.as_bytes()[..cut]), &mut out);
         assert!(result.is_err(), "prefix of length {cut} accepted");
     }
 }
@@ -100,7 +102,9 @@ fn unbound_variable_rejected_at_compile_time_or_runtime() {
         Err(_) => {}
         Ok(engine) => {
             let mut out = Vec::new();
-            assert!(engine.run("<bib/>".as_bytes(), &mut out).is_err());
+            assert!(engine
+                .run_input(Input::from_reader("<bib/>".as_bytes()), &mut out)
+                .is_err());
         }
     }
 }

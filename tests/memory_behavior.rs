@@ -109,7 +109,7 @@ fn name_mint_adversary_flat_under_bounded_interner() {
             w.query.expect("name_mint runs the engine tier"),
             w.dtd.expect("name_mint has a DTD"),
             doc.as_bytes(),
-            &Options::with_max_symbols(64),
+            &Options::new().max_symbols(64),
         )
         .unwrap()
         .stats

@@ -278,8 +278,11 @@ fn seed_sweep_deterministic() {
                 String::from_utf8_lossy(&dom.output),
                 "divergence on seed {seed}:\n{query}"
             );
-            let ablated = FluxEngine::compile(&query, domain.dtd(), &Options::without_streaming())
-                .unwrap_or_else(|e| panic!("ablated compile failed on seed {seed}:\n{query}\n{e}"));
+            let ablated =
+                FluxEngine::compile(&query, domain.dtd(), &Options::new().streaming(false))
+                    .unwrap_or_else(|e| {
+                        panic!("ablated compile failed on seed {seed}:\n{query}\n{e}")
+                    });
             let mut out = Vec::new();
             ablated
                 .run_input(fluxquery::Input::from_bytes(doc.clone()), &mut out)

@@ -11,7 +11,7 @@ fn buffer_everything_is_correct_across_catalog() {
         let doc = q.domain.document(0.3, 5);
         let scheduled = FluxEngine::compile(q.query, q.domain.dtd(), &Options::default()).unwrap();
         let ablated =
-            FluxEngine::compile(q.query, q.domain.dtd(), &Options::without_streaming()).unwrap();
+            FluxEngine::compile(q.query, q.domain.dtd(), &Options::new().streaming(false)).unwrap();
         let (out_s, stats_s) = scheduled.run_to_string(&doc).unwrap();
         let (out_a, stats_a) = ablated.run_to_string(&doc).unwrap();
         assert_eq!(out_s, out_a, "{} diverged under the ablation", q.id);
@@ -29,7 +29,7 @@ fn buffer_everything_is_correct_across_catalog() {
 fn ablated_plans_have_no_streaming_handlers() {
     let q = flux_bench::Q3;
     let engine =
-        FluxEngine::compile(q, Domain::BibFig1.dtd(), &Options::without_streaming()).unwrap();
+        FluxEngine::compile(q, Domain::BibFig1.dtd(), &Options::new().streaming(false)).unwrap();
     let printed = fluxquery::lang::pretty_flux(&engine.query().flux);
     assert!(
         !printed.contains("\n") || !printed.contains(" on book as"),
@@ -47,7 +47,7 @@ fn scheduling_gap_grows_with_document() {
     let q = flux_bench::Q3;
     let scheduled = FluxEngine::compile(q, Domain::BibWeak.dtd(), &Options::default()).unwrap();
     let ablated =
-        FluxEngine::compile(q, Domain::BibWeak.dtd(), &Options::without_streaming()).unwrap();
+        FluxEngine::compile(q, Domain::BibWeak.dtd(), &Options::new().streaming(false)).unwrap();
     let doc = Domain::BibWeak.document(4.0, 9);
     let (_, s) = scheduled.run_to_string(&doc).unwrap();
     let (_, a) = ablated.run_to_string(&doc).unwrap();

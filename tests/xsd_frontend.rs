@@ -2,7 +2,7 @@
 //! the same query compiled against an XSD equivalent of Figure 1 yields the
 //! same fully-streaming plan and the same results as the DTD version.
 
-use fluxquery::{FluxEngine, Options, PAPER_FIG1_DTD};
+use fluxquery::{FluxEngine, Input, Options, PAPER_FIG1_DTD};
 
 const Q3: &str = r#"<results>{ for $b in $ROOT/bib/book return <result>{$b/title}{$b/author}</result> }</results>"#;
 
@@ -64,7 +64,9 @@ fn xsd_validation_enforced() {
     // Author before title violates the schema's sequence.
     let bad = "<bib><book><author>A</author><title>T</title><publisher>P</publisher><price>9</price></book></bib>";
     let mut out = Vec::new();
-    assert!(engine.run(bad.as_bytes(), &mut out).is_err());
+    assert!(engine
+        .run_input(Input::from_reader(bad.as_bytes()), &mut out)
+        .is_err());
 }
 
 #[test]
